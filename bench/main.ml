@@ -10,8 +10,8 @@
      bench/main.exe micro --json BENCH_micro.json
                                     -- also write machine-readable results
                                        (CI uploads this per PR, so the
-                                       serial-vs-parallel trajectory
-                                       accumulates across the history)
+                                       per-stage trajectory accumulates
+                                       across the history)
      bench/main.exe micro --json BENCH_micro.json --trace BENCH_trace.json
                                     -- additionally dump the full span tree
                                        of the traced pipeline run
@@ -19,7 +19,7 @@
                                     -- also write the incremental-cache
                                        cold/warm rows as a standalone
                                        document (CI uploads this artifact)
-     bench/main.exe corpus [--seed N] [--count N] [--jobs N] [--json FILE]
+     bench/main.exe corpus [--seed N] [--count N] [--json FILE]
                                     -- the corpus-scale robustness matrix:
                                        every baseline and every mode swept
                                        over a seeded adversarial corpus
@@ -38,7 +38,7 @@
                                        warm-identical, and the data-edit
                                        row must show zero text-stage
                                        misses; non-zero exit on failure
-     bench/main.exe serve-check [--seed N] [--count N] [--clients N] [--jobs N]
+     bench/main.exe serve-check [--seed N] [--count N] [--clients N]
                                     -- daemon equivalence gate: stream the
                                        corpus slice through a live icfg
                                        serve instance and compare every
@@ -48,7 +48,6 @@
 
 open Icfg_isa
 module Experiments = Icfg_harness.Experiments
-module Asm = Icfg_codegen.Asm
 
 let experiments =
   [
@@ -148,17 +147,15 @@ let micro_tests () =
 (* Machine-readable results (BENCH_micro.json)                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Accumulated rows: bechamel estimates, wall-clock serial-vs-parallel
-   stage timings, and per-stage rows flattened out of a Trace of the full
-   pipeline. Written as JSON by hand — no JSON dependency. *)
+(* Accumulated rows: bechamel estimates and per-stage rows flattened out
+   of a Trace of the full pipeline. Written as JSON by hand — no JSON
+   dependency. *)
 let micro_rows : (string * float) list ref = ref []
-let parallel_rows : (string * int * float) list ref = ref []
 
-(* (span path, jobs, spans merged, summed ns, counter totals) from the
-   traced rewrites. The whole-run counter bag rides along on every row of
-   that run so `bench diff` can gate counters without a second file. *)
-let stage_rows : (string * int * int * int * (string * int) list) list ref =
-  ref []
+(* (span path, spans merged, summed ns, counter totals) from the traced
+   rewrite. The whole-run counter bag rides along on every row so
+   `bench diff` can gate counters without a second file. *)
+let stage_rows : (string * int * int * (string * int) list) list ref = ref []
 
 (* (name, ns_per_run, cache counters of a representative run) for the
    cold/warm incremental-cache rewrites. *)
@@ -229,22 +226,13 @@ let write_json path =
         (if i = List.length !micro_rows - 1 then "" else ","))
     !micro_rows;
   out "  ],\n";
-  out "  \"parallel\": [\n";
-  List.iteri
-    (fun i (stage, jobs, sec) ->
-      out "    {\"stage\": \"%s\", \"jobs\": %d, \"ns_per_run\": %s}%s\n"
-        (json_escape stage) jobs
-        (json_float (sec *. 1e9))
-        (if i = List.length !parallel_rows - 1 then "" else ","))
-    !parallel_rows;
-  out "  ],\n";
   out "  \"stages\": [\n";
   List.iteri
-    (fun i (path, jobs, count, ns, counters) ->
+    (fun i (path, count, ns, counters) ->
       out
-        "    {\"stage\": \"%s\", \"jobs\": %d, \"spans\": %d, \"ns\": %d, \
-         \"counters\": {%s}}%s\n"
-        (json_escape path) jobs count ns (counters_json counters)
+        "    {\"stage\": \"%s\", \"spans\": %d, \"ns\": %d, \"counters\": \
+         {%s}}%s\n"
+        (json_escape path) count ns (counters_json counters)
         (if i = List.length !stage_rows - 1 then "" else ","))
     !stage_rows;
   out "  ],\n";
@@ -327,13 +315,9 @@ let write_cache_json path =
   Printf.printf "wrote %s\n%!" path
 
 (* ------------------------------------------------------------------ *)
-(* Serial vs. parallel stage timings                                   *)
+(* Per-stage pipeline trace                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Wall-clock (bechamel's per-run OLS would hide the domain fan-out),
-   repeated enough to amortize pool startup. Each stage that PR 1 and PR 2
-   sharded gets a serial and a parallel row: whole-binary rewrite, the
-   per-CFG function-pointer scans, and chunked section encoding. *)
 let largest_spec_binary arch =
   List.fold_left
     (fun best bench ->
@@ -346,112 +330,24 @@ let largest_spec_binary arch =
     (Icfg_workloads.Spec_suite.benchmarks arch)
   |> Option.get
 
-let time_stage ~stage ~reps run jobs_list =
-  let row jobs =
-    (* warm up: fault in the domain pool and any lazy state *)
-    ignore (Sys.opaque_identity (run jobs));
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (Sys.opaque_identity (run jobs))
-    done;
-    let t = (Unix.gettimeofday () -. t0) /. float_of_int reps in
-    parallel_rows := !parallel_rows @ [ (stage, jobs, t) ];
-    Printf.printf "  %-18s jobs=%d %12.0f ns/run  %10.1f runs/s\n%!" stage
-      jobs (t *. 1e9) (1. /. t);
-    t
-  in
-  match List.map row jobs_list with
-  | serial :: rest ->
-      List.iter
-        (fun par -> Printf.printf "  %-18s speedup: %.2fx\n%!" stage (serial /. par))
-        rest
-  | [] -> ()
-
-(* A synthetic but representative item stream for the encode stage: labels,
-   plain instructions, resolved branches and address-holding data words
-   (which produce relocations under PIE), so every chunk boundary shape is
-   exercised. *)
-let encode_fixture () =
-  let n = 4000 in
-  let items =
-    List.concat
-      (List.init n (fun i ->
-           [
-             Asm.Label (Printf.sprintf "L%d" i);
-             Asm.Insn (Insn.Mov (Reg.r0, Imm i));
-             Asm.Insn Insn.Nop;
-             Asm.Jmp_to (Printf.sprintf "L%d" (i / 2));
-             Asm.Data (W64, Asm.Addr (Printf.sprintf "L%d" (i / 3)), `Reloc);
-           ]))
-  in
-  let labels = Hashtbl.create (2 * n) in
-  let lay =
-    Asm.layout Arch.X86_64 ~pie:true ~labels ~base:0x400000 items
-  in
-  (labels, lay)
-
-let run_parallel_micro () =
-  print_endline "== Serial vs parallel stage timings (largest spec binary) ==";
-  let arch = Arch.X86_64 in
-  let bin = largest_spec_binary arch in
-  Printf.printf "  (%d bytes loaded, %d core(s) recommended)\n%!"
-    (Icfg_obj.Binary.loaded_size bin)
-    (Domain.recommended_domain_count ());
-  (* Whole-pipeline rewrite. *)
-  time_stage ~stage:"rewrite" ~reps:50
-    (fun jobs -> Icfg_harness.Runner.rewrite ~jobs bin)
-    [ 1; 4 ];
-  (* Function-pointer analysis: serial data-slot pass + sharded per-CFG
-     scans. *)
-  let parse = Icfg_analysis.Parse.parse bin in
-  let cfgs =
-    List.map (fun f -> f.Icfg_analysis.Parse.fa_cfg) parse.Icfg_analysis.Parse.funcs
-  in
-  let fm = Icfg_analysis.Failure_model.ours in
-  time_stage ~stage:"func-ptr" ~reps:200
-    (fun jobs ->
-      let par =
-        if jobs <= 1 then Icfg_analysis.Func_ptr.serial
-        else
-          { Icfg_analysis.Func_ptr.pmap = (fun f l -> Icfg_core.Pool.map ~jobs f l) }
-      in
-      Icfg_analysis.Func_ptr.analyze ~par bin fm cfgs)
-    [ 1; 4 ];
-  (* Section encoding against a frozen label table, chunked. *)
-  let labels, lay = encode_fixture () in
-  time_stage ~stage:"encode" ~reps:100
-    (fun jobs ->
-      if jobs <= 1 then Asm.encode Arch.X86_64 ~pie:true ~toc:0 ~labels lay
-      else
-        Asm.encode_sharded Arch.X86_64 ~pie:true ~toc:0 ~labels
-          ~par:{ Asm.pmap = (fun f l -> Icfg_core.Pool.map ~jobs f l) }
-          ~chunks:(4 * jobs) lay)
-    [ 1; 4 ]
-
-(* Per-stage wall-time rows sourced from Trace: one traced parse+rewrite per
-   jobs value, flattened into slash-joined span paths. This is the
-   measurement the ROADMAP's "measure before touching the serial stages"
-   item asks for — layout/replay/hop timings come straight out of the
-   instrumented pipeline rather than ad-hoc stopwatches. *)
+(* Per-stage wall-time rows sourced from Trace: one traced parse+rewrite,
+   flattened into slash-joined span paths — layout/replay/hop timings come
+   straight out of the instrumented pipeline rather than ad-hoc
+   stopwatches. *)
 let run_trace_stages () =
   print_endline "== Per-stage pipeline trace (largest spec binary) ==";
   let arch = Arch.X86_64 in
   let bin = largest_spec_binary arch in
+  let t = Icfg_core.Trace.create () in
+  Icfg_core.Trace.with_current t (fun () ->
+      ignore (Sys.opaque_identity (Icfg_harness.Runner.rewrite bin)));
+  let counters = Icfg_core.Trace.counters t in
   List.iter
-    (fun jobs ->
-      let t = Icfg_core.Trace.create () in
-      Icfg_core.Trace.with_current t (fun () ->
-          ignore (Sys.opaque_identity (Icfg_harness.Runner.rewrite ~jobs bin)));
-      let counters = Icfg_core.Trace.counters t in
-      List.iter
-        (fun (r : Icfg_core.Trace.row) ->
-          stage_rows :=
-            !stage_rows @ [ (r.r_path, jobs, r.r_count, r.r_ns, counters) ];
-          if jobs = 1 then
-            Printf.printf "  %-28s %12d ns\n%!" r.r_path r.r_ns)
-        (Icfg_core.Trace.rows t);
-      trace_json := Some (Icfg_core.Trace.to_json t))
-    [ 1; 4 ]
+    (fun (r : Icfg_core.Trace.row) ->
+      stage_rows := !stage_rows @ [ (r.r_path, r.r_count, r.r_ns, counters) ];
+      Printf.printf "  %-28s %12d ns\n%!" r.r_path r.r_ns)
+    (Icfg_core.Trace.rows t);
+  trace_json := Some (Icfg_core.Trace.to_json t)
 
 (* Cold-vs-warm incremental cache rows: a full rewrite populating a fresh
    cache, an identical re-rewrite against a warm cache (the headline: only
@@ -465,7 +361,7 @@ let run_cache_micro () =
   let module Runner = Icfg_harness.Runner in
   let arch = Arch.X86_64 in
   let bin = largest_spec_binary arch in
-  let rewrite ?cache b = Runner.rewrite ~jobs:1 ?cache b in
+  let rewrite ?cache b = Runner.rewrite ?cache b in
   let fingerprint (rw : Icfg_core.Rewriter.t) =
     Digest.to_hex (Digest.string (Marshal.to_string rw.Icfg_core.Rewriter.rw_binary []))
   in
@@ -759,7 +655,7 @@ let run_serve_incremental_micro () =
         match Icfg_harness.Runner.perturb_function p with
         | None -> None
         | Some (edited, _fname) -> (
-            match Icfg_harness.Runner.drive ~approach ~jobs:1 edited with
+            match Icfg_harness.Runner.drive ~approach edited with
             | Some (Icfg_baselines.Baseline.Rewritten rw) ->
                 Some
                   ( Binfile.to_string bin,
@@ -855,7 +751,7 @@ let run_serve_incremental_micro () =
     Protocol.write_frame (Client.fd c)
       (Protocol.request_to_payload
          (Protocol.Classify
-            { approach = a; jobs = 0; payload = payload_of s d }));
+            { approach = a; reserved = 0; payload = payload_of s d }));
     match Protocol.read_frame (Client.fd c) with
     | Some p -> p
     | None -> failwith "daemon hung up"
@@ -924,7 +820,6 @@ let run_micro () =
           Printf.printf "  %-32s %12.0f ns/run\n%!" (Test.Elt.name t) nanos)
         (Test.elements test))
     tests;
-  run_parallel_micro ();
   run_trace_stages ();
   run_cache_micro ();
   run_serve_micro ();
@@ -935,9 +830,9 @@ let run_micro () =
    cache. Classification is deterministic (seeded corpus, serial cache
    probing), so the pass-rate/refusal rows it leaves in the JSON gate
    exactly in `bench diff`. *)
-let run_corpus ~seed ~count ~jobs =
+let run_corpus ~seed ~count =
   let m =
-    Icfg_harness.Matrix.run ~seed ~count ~jobs
+    Icfg_harness.Matrix.run ~seed ~count
       ~progress:(fun i ->
         if i mod 50 = 0 && i < count then
           Printf.printf "  ...%d/%d binaries\n%!" i count)
@@ -1000,7 +895,7 @@ let run_check_cache args =
       exit 2
 
 (* The serve equivalence gate: `bench/main.exe serve-check [--seed N]
-   [--count N] [--clients N] [--jobs N]` sweeps a corpus slice through a
+   [--count N] [--clients N]` sweeps a corpus slice through a
    live daemon AND in-process, and exits non-zero unless every
    per-approach classification row matches exactly (CI runs this as the
    serve smoke step). *)
@@ -1017,19 +912,18 @@ let run_serve_check args =
   let seed, args = int_flag "--seed" 7 args in
   let count, args = int_flag "--count" 60 args in
   let clients, args = int_flag "--clients" 4 args in
-  let jobs, args = int_flag "--jobs" 1 args in
   if args <> [] then (
     Printf.eprintf
       "usage: bench/main.exe serve-check [--seed N] [--count N] [--clients \
-       N] [--jobs N]\n";
+       N]\n";
     exit 2);
   let module Sweep = Icfg_service.Sweep in
   let module Cache = Icfg_core.Cache in
   Printf.printf
     "serve-check: daemon vs in-process sweep (seed %d, %d binaries, %d \
-     clients, jobs %d)\n%!"
-    seed count clients jobs;
-  let ok, report, r = Sweep.check ~seed ~count ~clients ~jobs () in
+     clients)\n%!"
+    seed count clients;
+  let ok, report, r = Sweep.check ~seed ~count ~clients () in
   print_string report;
   Printf.printf
     "daemon: %d requests, %d overloaded, %d errors, %.1f req/s, cache %d \
@@ -1071,7 +965,6 @@ let () =
   in
   let corpus_seed, args = int_flag "--seed" 7 args in
   let corpus_count, args = int_flag "--count" 300 args in
-  let corpus_jobs, args = int_flag "--jobs" 1 args in
   let selected =
     match args with
     | [] -> List.map fst experiments @ [ "micro"; "corpus" ]
@@ -1081,7 +974,7 @@ let () =
     (fun name ->
       if name = "micro" then run_micro ()
       else if name = "corpus" then
-        run_corpus ~seed:corpus_seed ~count:corpus_count ~jobs:corpus_jobs
+        run_corpus ~seed:corpus_seed ~count:corpus_count
       else
         match List.assoc_opt name experiments with
         | Some f ->

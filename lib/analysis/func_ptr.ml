@@ -189,15 +189,11 @@ let dedup sites =
         true))
     sites
 
-type par = { pmap : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
-
-let serial = { pmap = List.map }
-
-(* Serial pass: data-resident slots, which double as the slot-target map
+(* First pass: data-resident slots, which double as the slot-target map
    the forward slicer consults. Everything the per-CFG scan reads — the
-   binary, the entry set and [slot_targets] — is frozen before the fan-out,
-   and the scan of one CFG touches no other CFG's state, so [analyze] can
-   shard the scans across domains and merge in CFG order. *)
+   binary, the entry set and [slot_targets] — is frozen before the scans,
+   and the scan of one CFG touches no other CFG's state, so each scan is
+   a pure function of its CFG and that frozen state. *)
 let data_slot_pass bin (fm : Failure_model.t) entries =
   let data_sites =
     (if fm.reloc_fptrs then reloc_slots bin entries else [])
@@ -213,16 +209,13 @@ let data_slot_pass bin (fm : Failure_model.t) entries =
     data_sites;
   (data_sites, slot_targets)
 
-let analyze ?(par = serial) ?scan_map bin (fm : Failure_model.t)
+let analyze ?scan_map bin (fm : Failure_model.t)
     (cfgs : Cfg.t list) =
   let entries = entry_set bin in
   let data_sites, slot_targets = data_slot_pass bin fm entries in
-  (* Per-CFG scans fan out through the injected mapper; the mapper is
-     order-preserving, so concatenating per-CFG results reproduces the
-     serial [List.concat_map] site order exactly, and dedup (which keeps
-     first occurrences) is schedule-independent. [scan_map] lets a caller
-     interpose a memoizing mapper (Parse threads the rewrite cache through
-     here); it must be observation-equivalent to [par.pmap]. *)
+  (* [scan_map] lets a caller interpose a memoizing mapper (Parse threads
+     the rewrite cache through here); it must be observation-equivalent to
+     [List.map], so per-CFG results concatenate in CFG order. *)
   let scan cfg =
     List.concat_map
       (fun b -> fp_scan_block bin fm entries slot_targets b)
@@ -248,7 +241,7 @@ let analyze ?(par = serial) ?scan_map bin (fm : Failure_model.t)
             [ Marshal.No_sharing ]
         in
         m ~extra scan cfgs
-    | None -> par.pmap scan cfgs
+    | None -> List.map scan cfgs
   in
   dedup (data_sites @ List.concat per_cfg)
 

@@ -27,16 +27,7 @@ type site =
           being stored/used: the rewriter must compensate the slot so the
           adjusted value lands on the relocated block of [target + adjust] *)
 
-type par = { pmap : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
-(** An order-preserving map used to fan the per-CFG scans out across
-    domains (same shape as {!Parse.par}; duplicated so the analysis layer
-    needs no scheduler dependency). *)
-
-val serial : par
-(** [List.map] — the default. *)
-
 val analyze :
-  ?par:par ->
   ?scan_map:
     (extra:string -> (Cfg.t -> site list) -> Cfg.t list -> site list list) ->
   Icfg_obj.Binary.t ->
@@ -45,12 +36,11 @@ val analyze :
   site list
 (** Two-phase analysis: a serial data-slot pass (relocation- and
     value-match slots, which also builds the slot-target map the forward
-    slicer reads) followed by per-CFG code scans fanned out through [par].
-    The scans read only frozen state and results are merged in CFG order,
-    so the site list is independent of the mapper used. [scan_map], when
-    given, replaces [par.pmap] for the per-CFG scans — the hook Parse uses
-    to interpose the content-addressed rewrite cache; it must be an
-    order-preserving observation-equivalent of [par.pmap]. [extra] is the
+    slicer reads) followed by per-CFG code scans that read only that
+    frozen state, merged in CFG order. [scan_map], when given, replaces
+    [List.map] for the per-CFG scans — the hook Parse uses to interpose
+    the content-addressed rewrite cache; it must be an order-preserving
+    observation-equivalent of [List.map]. [extra] is the
     canonical bytes of every cross-CFG input the scan closure reads
     (failure model, TOC base, entry set, slot-target map): [extra] plus a
     digest of the scanned CFG covers the scan's inputs completely, so a

@@ -150,12 +150,8 @@ let finalize_function bin (fm : Failure_model.t) ~known_data fptr_targets
     fa_liveness = Liveness.analyze cfg1;
   }
 
-type par = { pmap : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
-
-let serial = { pmap = List.map }
-
 (* Observability hooks injected by the caller (the core library's Trace sits
-   above this one, so it cannot be named here — same inversion as [par]).
+   above this one, so it cannot be named here).
    The default probe is pass-through, so unprobed parses cost nothing. *)
 type probe = {
   pspan : 'a. string -> (unit -> 'a) -> 'a;
@@ -165,9 +161,9 @@ type probe = {
 let no_probe = { pspan = (fun _ f -> f ()); pcount = (fun _ _ -> ()) }
 
 (* Memoizing mapper injected by the caller (the content-addressed cache
-   lives in the core library, above this one — same inversion as [par] and
+   lives in the core library, above this one — same inversion as
    [probe]). [mmap ~stage ~key f xs] must be observation-equivalent to
-   [par.pmap f xs] whenever [f] is a pure function of what [key] digests. *)
+   [List.map f xs] whenever [f] is a pure function of what [key] digests. *)
 type memo = {
   mmap :
     'a 'b.
@@ -306,8 +302,7 @@ let func_slices bin syms =
     let hi = max lo (min thi (max stop (sym.Symbol.addr + sym.Symbol.size))) in
     Bytes.sub_string text.Section.data (lo - tlo) (hi - lo)
 
-let parse ?(fm = Failure_model.ours) ?(par = serial) ?(probe = no_probe) ?memo
-    bin =
+let parse ?(fm = Failure_model.ours) ?(probe = no_probe) ?memo bin =
   probe.pspan "parse" @@ fun () ->
   let syms = Binary.func_symbols bin in
   (* Key machinery is forced only when a memo is injected, so the default
@@ -329,7 +324,7 @@ let parse ?(fm = Failure_model.ours) ?(par = serial) ?(probe = no_probe) ?memo
      the stage. *)
   let fkey pieces sym = (Lazy.force keys) pieces sym in
   let mmap ~stage ~key f l =
-    match memo with None -> par.pmap f l | Some m -> m.mmap ~stage ~key f l
+    match memo with None -> List.map f l | Some m -> m.mmap ~stage ~key f l
   in
   (* The per-CFG function-pointer scans are keyed on exactly their
      inputs: the scanned CFG's content plus the [extra] digest
@@ -345,9 +340,7 @@ let parse ?(fm = Failure_model.ours) ?(par = serial) ?(probe = no_probe) ?memo
           scan cfgs)
       memo
   in
-  (* Pass 1 over every function: slices for global known-data collection.
-     Per-function analysis only reads the (immutable) binary, so both
-     per-function passes fan out through [par]. *)
+  (* Pass 1 over every function: slices for global known-data collection. *)
   let pass1 =
     probe.pspan "pass1" (fun () ->
         mmap ~stage:"parse/pass1"
@@ -363,14 +356,11 @@ let parse ?(fm = Failure_model.ours) ?(par = serial) ?(probe = no_probe) ?memo
   in
   (* Function pointers need CFGs; use the pass-1 CFGs (pointer creation
      sites live in code reachable without jump-table edges, and case-body
-     sites are found after the final CFG rebuild below if needed). The
-     per-CFG scans shard through the same injected mapper as the
-     per-function passes; only the data-slot pass stays serial. *)
-  let fpar = { Func_ptr.pmap = par.pmap } in
+     sites are found after the final CFG rebuild below if needed). *)
   let cfg0s = List.map (fun ((_, c, _), _) -> c) pass1 in
   let fptrs =
     probe.pspan "func-ptr" (fun () ->
-        Func_ptr.analyze ~par:fpar
+        Func_ptr.analyze
           ?scan_map:(scan_map "parse/fptr")
           bin fm cfg0s)
   in
@@ -400,7 +390,7 @@ let parse ?(fm = Failure_model.ours) ?(par = serial) ?(probe = no_probe) ?memo
      distant function's analysis moved. *)
   let fptrs =
     probe.pspan "func-ptr-2" (fun () ->
-        Func_ptr.analyze ~par:fpar
+        Func_ptr.analyze
           ?scan_map:(scan_map "parse/fptr2")
           bin fm
           (List.map (fun f -> f.fa_cfg) funcs))

@@ -38,21 +38,12 @@ type t = {
           targets, Listing 1) *)
 }
 
-type par = { pmap : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
-(** An order-preserving map used to fan the per-function analysis passes out
-    across domains. The analysis layer stays scheduler-agnostic: callers
-    inject a parallel mapper (e.g. [Icfg_core.Pool.map ~jobs]); results must
-    come back in input order so parsing is deterministic for any mapper. *)
-
-val serial : par
-(** [List.map] — the default. *)
-
 type probe = {
   pspan : 'a. string -> (unit -> 'a) -> 'a;
   pcount : string -> int -> unit;
 }
-(** Observability hooks, injected the same way as [par] (the tracing layer
-    lives above this library): [pspan name f] times [f] as a nested span,
+(** Observability hooks injected by the caller (the tracing layer lives
+    above this library): [pspan name f] times [f] as a nested span,
     [pcount name n] bumps a named counter. Probes must be observation-only —
     [parse] output does not depend on them. *)
 
@@ -64,24 +55,22 @@ type memo = {
     'a 'b.
     stage:string -> key:('a -> string) -> ('a -> 'b) -> 'a list -> 'b list;
 }
-(** A memoizing order-preserving map, injected like [par]/[probe] (the
+(** A memoizing order-preserving map, injected like [probe] (the
     content-addressed cache lives in the core library, above this one).
     [mmap ~stage ~key f xs] must be observation-equivalent to
-    [par.pmap f xs]; [key x] digests every input [f x] reads, so the
+    [List.map f xs]; [key x] digests every input [f x] reads, so the
     memoizer may serve a stored result for an equal key. *)
 
 val parse :
   ?fm:Failure_model.t ->
-  ?par:par ->
   ?probe:probe ->
   ?memo:memo ->
   Icfg_obj.Binary.t ->
   t
-(** Whole-binary parse. [par] parallelizes the two per-function passes
-    (initial CFG + jump-table slicing, then finalization + liveness) and
-    the per-CFG function-pointer scans ({!Func_ptr.analyze}); only the
-    cross-function steps (known-data collection, the data-slot pass) stay
-    serial. Output is independent of the mapper used. [probe] wraps each
+(** Whole-binary parse: two per-function passes (initial CFG + jump-table
+    slicing, then finalization + liveness) around the cross-function
+    known-data collection, each followed by function-pointer analysis
+    ({!Func_ptr.analyze}). [probe] wraps each
     stage in a span ([pass1], [known-data], [func-ptr], [finalize],
     [func-ptr-2] under [parse]) and reports whole-binary counters
     ([parse/funcs], [parse/instrumentable], [parse/jump-tables], ...).

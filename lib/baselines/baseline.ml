@@ -11,36 +11,27 @@ type outcome = Rewritten of Rewriter.t | Refused of string
 
 let default_payload = Rewriter.P_empty
 
-(* Shared pipeline wiring: every baseline consumes the same sharded,
-   memoizable parse the paper's system uses (identical to
-   [Runner.parse], which lives above this library), so a corpus sweep can
-   thread one pool and one cache through all of them. Output is
-   bit-identical for every [jobs] value and with or without a cache. *)
-let pipeline_parse ?fm ?(jobs = 1) ?cache bin =
-  let jobs = max 1 jobs in
-  let par = { Parse.pmap = (fun f l -> Icfg_core.Pool.map ~jobs f l) } in
+(* Shared pipeline wiring: every baseline consumes the same memoizable
+   parse the paper's system uses, so a corpus sweep can thread one cache
+   through all of them. Output is bit-identical with or without a cache. *)
+let pipeline_parse ?fm ?cache bin =
   let memo =
     Option.map
       (fun cache ->
         {
           Parse.mmap =
             (fun ~stage ~key f l ->
-              Icfg_core.Cache.memo_map ~cache ~jobs ~stage ~key f l);
+              Icfg_core.Cache.memo_map ~cache ~stage ~key f l);
         })
       cache
   in
-  Parse.parse ?fm ~par ~probe:(Icfg_core.Trace.parse_probe ()) ?memo bin
-
-let with_jobs ?jobs options =
-  match jobs with
-  | None -> options
-  | Some j -> { options with Rewriter.jobs = max 1 j }
+  Parse.parse ?fm ~probe:(Icfg_core.Trace.parse_probe ()) ?memo bin
 
 (* ------------------------------------------------------------------ *)
 (* Dyninst-10.2 / SRBI                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let srbi ?(payload = default_payload) ?jobs ?cache bin =
+let srbi ?(payload = default_payload) ?cache bin =
   if
     bin.Binary.features.Binary.cpp_exceptions
     && bin.Binary.arch <> Arch.X86_64
@@ -49,11 +40,9 @@ let srbi ?(payload = default_payload) ?jobs ?cache bin =
       "call emulation for C++ exceptions is only implemented on x86-64 in \
        Dyninst-10.2"
   else
-    let parse = pipeline_parse ~fm:Failure_model.srbi ?jobs ?cache bin in
+    let parse = pipeline_parse ~fm:Failure_model.srbi ?cache bin in
     let rw =
-      Rewriter.rewrite ?cache
-        ~options:(with_jobs ?jobs (Rewriter.srbi_like payload))
-        parse
+      Rewriter.rewrite ?cache ~options:(Rewriter.srbi_like payload) parse
     in
     if rw.Rewriter.rw_stats.Rewriter.s_trap_trampolines > 10 then
       Refused
@@ -82,7 +71,7 @@ let srbi ?(payload = default_payload) ?jobs ?cache bin =
 (* Egalito-style IR lowering                                           *)
 (* ------------------------------------------------------------------ *)
 
-let ir_lowering ?(payload = default_payload) ?jobs ?cache bin =
+let ir_lowering ?(payload = default_payload) ?cache bin =
   let feat = bin.Binary.features in
   if not bin.Binary.pie then
     Refused "IR lowering requires PIE with run-time relocation entries"
@@ -95,7 +84,7 @@ let ir_lowering ?(payload = default_payload) ?jobs ?cache bin =
   else if feat.Binary.symbol_versioning then
     Refused "cannot rewrite symbol versioning information (the libcuda failure)"
   else
-    let parse = pipeline_parse ?jobs ?cache bin in
+    let parse = pipeline_parse ?cache bin in
     if Parse.coverage parse < 1.0 then
       let bad =
         List.find (fun f -> not f.Parse.fa_instrumentable) parse.Parse.funcs
@@ -114,7 +103,7 @@ let ir_lowering ?(payload = default_payload) ?jobs ?cache bin =
           ra_translation = false;
         }
       in
-      let rw = Rewriter.rewrite ?cache ~options:(with_jobs ?jobs options) parse in
+      let rw = Rewriter.rewrite ?cache ~options parse in
       (* Regeneration: the original code and retired metadata are dropped
          and the entry point moves into the regenerated code. *)
       let entry =
@@ -140,8 +129,8 @@ let ir_lowering ?(payload = default_payload) ?jobs ?cache bin =
 (* E9Patch-style instruction patching                                  *)
 (* ------------------------------------------------------------------ *)
 
-let insn_patching ?(payload = default_payload) ?jobs ?cache bin =
-  let parse = pipeline_parse ?jobs ?cache bin in
+let insn_patching ?(payload = default_payload) ?cache bin =
+  let parse = pipeline_parse ?cache bin in
   let options =
     {
       Rewriter.default_options with
@@ -155,14 +144,14 @@ let insn_patching ?(payload = default_payload) ?jobs ?cache bin =
       use_scratch_pool = false;
     }
   in
-  Rewritten (Rewriter.rewrite ?cache ~options:(with_jobs ?jobs options) parse)
+  Rewritten (Rewriter.rewrite ?cache ~options parse)
 
 (* ------------------------------------------------------------------ *)
 (* Multiverse-style dynamic translation                                *)
 (* ------------------------------------------------------------------ *)
 
-let dynamic_translation ?(payload = default_payload) ?jobs ?cache bin =
-  let parse = pipeline_parse ?jobs ?cache bin in
+let dynamic_translation ?(payload = default_payload) ?cache bin =
+  let parse = pipeline_parse ?cache bin in
   let options =
     {
       Rewriter.default_options with
@@ -173,7 +162,7 @@ let dynamic_translation ?(payload = default_payload) ?jobs ?cache bin =
       ra_translation = false;
     }
   in
-  Rewritten (Rewriter.rewrite ?cache ~options:(with_jobs ?jobs options) parse)
+  Rewritten (Rewriter.rewrite ?cache ~options parse)
 
 (* ------------------------------------------------------------------ *)
 (* BOLT-like optimizer                                                 *)
@@ -220,10 +209,10 @@ let bolt_block_reorder bin =
 (* This paper's system                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let ours ?(payload = default_payload) ?jobs ?cache ~mode bin =
-  let parse = pipeline_parse ?jobs ?cache bin in
+let ours ?(payload = default_payload) ?cache ~mode bin =
+  let parse = pipeline_parse ?cache bin in
   let options = { Rewriter.default_options with Rewriter.mode; payload } in
-  Rewritten (Rewriter.rewrite ?cache ~options:(with_jobs ?jobs options) parse)
+  Rewritten (Rewriter.rewrite ?cache ~options parse)
 
 let ours_partial ?(payload = default_payload) ~mode ~only bin =
   let parse = Parse.parse bin in
@@ -238,15 +227,15 @@ let ours_partial ?(payload = default_payload) ~mode ~only bin =
 
 let approaches =
   [
-    ("srbi", fun ?jobs ?cache bin -> srbi ?jobs ?cache bin);
-    ("ir-lowering", fun ?jobs ?cache bin -> ir_lowering ?jobs ?cache bin);
-    ("insn-patching", fun ?jobs ?cache bin -> insn_patching ?jobs ?cache bin);
+    ("srbi", fun ?cache bin -> srbi ?cache bin);
+    ("ir-lowering", fun ?cache bin -> ir_lowering ?cache bin);
+    ("insn-patching", fun ?cache bin -> insn_patching ?cache bin);
     ( "dyn-translation",
-      fun ?jobs ?cache bin -> dynamic_translation ?jobs ?cache bin );
-    ("ours/dir", fun ?jobs ?cache bin -> ours ?jobs ?cache ~mode:Mode.Dir bin);
-    ("ours/jt", fun ?jobs ?cache bin -> ours ?jobs ?cache ~mode:Mode.Jt bin);
+      fun ?cache bin -> dynamic_translation ?cache bin );
+    ("ours/dir", fun ?cache bin -> ours ?cache ~mode:Mode.Dir bin);
+    ("ours/jt", fun ?cache bin -> ours ?cache ~mode:Mode.Jt bin);
     ( "ours/func-ptr",
-      fun ?jobs ?cache bin -> ours ?jobs ?cache ~mode:Mode.Func_ptr bin );
+      fun ?cache bin -> ours ?cache ~mode:Mode.Func_ptr bin );
   ]
 
 let contains ~sub s =

@@ -10,17 +10,23 @@ type outcome =
       (** the tool rejects the binary up front (e.g. Egalito on non-PIE,
           Dyninst-10.2 call emulation on a non-x86 C++ binary) *)
 
-(** Every rewriting baseline below accepts [?jobs] (fan the per-function
-    pipeline stages out over that many {!Icfg_core.Pool} domains) and
-    [?cache] (memoize per-function artifacts in a shared
-    {!Icfg_core.Cache}). Both default to the serial, uncached pipeline;
-    output is bit-identical for every combination. *)
+val pipeline_parse :
+  ?fm:Icfg_analysis.Failure_model.t ->
+  ?cache:Icfg_core.Cache.t ->
+  Icfg_obj.Binary.t ->
+  Icfg_analysis.Parse.t
+(** The whole-binary parse every driver below (and [Runner.parse]) runs:
+    {!Icfg_analysis.Parse.parse} probed by the ambient trace, its
+    per-function stages memoized in [cache] when given. *)
+
+(** Every rewriting baseline below accepts [?cache] (memoize per-function
+    artifacts in a shared {!Icfg_core.Cache}); output is bit-identical with
+    and without it. *)
 
 (** {1 Dyninst-10.2 / SRBI} *)
 
 val srbi :
   ?payload:Icfg_core.Rewriter.payload ->
-  ?jobs:int ->
   ?cache:Icfg_core.Cache.t ->
   Icfg_obj.Binary.t ->
   outcome
@@ -37,7 +43,6 @@ val srbi :
 
 val ir_lowering :
   ?payload:Icfg_core.Rewriter.payload ->
-  ?jobs:int ->
   ?cache:Icfg_core.Cache.t ->
   Icfg_obj.Binary.t ->
   outcome
@@ -52,7 +57,6 @@ val ir_lowering :
 
 val insn_patching :
   ?payload:Icfg_core.Rewriter.payload ->
-  ?jobs:int ->
   ?cache:Icfg_core.Cache.t ->
   Icfg_obj.Binary.t ->
   outcome
@@ -64,7 +68,6 @@ val insn_patching :
 
 val dynamic_translation :
   ?payload:Icfg_core.Rewriter.payload ->
-  ?jobs:int ->
   ?cache:Icfg_core.Cache.t ->
   Icfg_obj.Binary.t ->
   outcome
@@ -87,7 +90,6 @@ val bolt_block_reorder : Icfg_obj.Binary.t -> outcome
 
 val ours :
   ?payload:Icfg_core.Rewriter.payload ->
-  ?jobs:int ->
   ?cache:Icfg_core.Cache.t ->
   mode:Icfg_core.Mode.t ->
   Icfg_obj.Binary.t ->
@@ -97,7 +99,7 @@ val ours :
 
 val approaches :
   (string
-  * (?jobs:int -> ?cache:Icfg_core.Cache.t -> Icfg_obj.Binary.t -> outcome))
+  * (?cache:Icfg_core.Cache.t -> Icfg_obj.Binary.t -> outcome))
   list
 (** The corpus-matrix roster: the four comparable rewriting baselines
     ([srbi], [ir-lowering], [insn-patching], [dyn-translation]) plus this

@@ -124,7 +124,7 @@ let check_data_range w v =
 (* Encode the placed items in [items.(i0) .. items.(i1 - 1)] into [data],
    whose byte 0 is address [org]. Reads the (frozen) label table only;
    returns the segment's relocs in item order. [encode] passes the whole
-   layout; the sharded encoder passes contiguous chunks, each with its own
+   layout; [encode_chunks] passes contiguous chunks, each with its own
    buffer. *)
 let encode_run arch ~pie ~toc ~labels ~org data items i0 i1 =
   let base = org in
@@ -207,10 +207,6 @@ let encode arch ~pie ~toc ~labels lay =
   in
   (data, relocs)
 
-type par = { pmap : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
-
-let serial = { pmap = List.map }
-
 type chunk = { c_items : (item * int) list; c_lo : int; c_hi : int }
 
 type memo = {
@@ -271,11 +267,11 @@ let encode_chunk arch ~pie ~toc ~labels ch =
    into one buffer spanning the layout. Chunks need not tile the extent:
    address ranges no chunk covers (holes a pinned layout left behind)
    stay zero-filled. Relocs concatenate in chunk (address) order. *)
-let encode_chunks arch ~pie ~toc ~labels ?(par = serial) ?memo lay chunks =
+let encode_chunks arch ~pie ~toc ~labels ?memo lay chunks =
   let enc = encode_chunk arch ~pie ~toc ~labels in
   let encoded =
     match memo with
-    | None -> par.pmap enc chunks
+    | None -> List.map enc chunks
     | Some m ->
         m.cmap ~stage:"encode" ~key:(chunk_key arch ~pie ~toc ~labels) enc
           chunks
@@ -286,42 +282,6 @@ let encode_chunks arch ~pie ~toc ~labels ?(par = serial) ?memo lay chunks =
       Bytes.blit d 0 data (ch.c_lo - lay.l_base) (Bytes.length d))
     chunks encoded;
   (data, List.concat_map snd encoded)
-
-(* Sharded second pass. Layout is inherently sequential (each address
-   depends on every earlier item's size), but once the label table is
-   frozen, encoding any item depends only on its own (item, address) pair
-   and that read-only table — so the item list splits into contiguous
-   chunks encoded independently, each into a private buffer sized by its
-   address extent. Item addresses are contiguous by construction
-   (next addr = addr + size), so chunk extents tile [l_base, l_end) and a
-   serial blit reassembles the exact serial image; per-chunk reloc lists
-   concatenated in chunk order reproduce the serial (item-order) reloc
-   list. Nothing about the result can depend on the schedule or the chunk
-   count — the battery in [test_parallel] pins this byte-for-byte.
-
-   With [memo], each chunk's (bytes, relocs) additionally goes through the
-   injected memoizer, keyed on the chunk content plus its resolved label
-   values — the memoizer's cache layer decides hit/miss/parallelism. *)
-let encode_sharded arch ~pie ~toc ~labels ?(par = serial) ?memo ?(chunks = 1)
-    lay =
-  let items = Array.of_list lay.items in
-  let n = Array.length items in
-  let chunks = max 1 (min chunks n) in
-  match memo with
-  | None when chunks <= 1 -> encode arch ~pie ~toc ~labels lay
-  | _ ->
-      let start k = k * n / chunks in
-      let addr_of i = if i >= n then lay.l_end else snd items.(i) in
-      let chs =
-        List.init chunks (fun k ->
-            let i0 = start k and i1 = start (k + 1) in
-            {
-              c_items = Array.to_list (Array.sub items i0 (i1 - i0));
-              c_lo = addr_of i0;
-              c_hi = addr_of i1;
-            })
-      in
-      encode_chunks arch ~pie ~toc ~labels ~par ?memo lay chs
 
 (* ------------------------------------------------------------------ *)
 (* Pinned-address incremental layout                                   *)

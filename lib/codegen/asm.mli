@@ -74,17 +74,9 @@ val encode :
     {!Icfg_isa.Encode.Not_encodable} if a resolved displacement or a narrow
     data word overflows its field. *)
 
-type par = { pmap : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
-(** An order-preserving map used to fan chunk encoding out across domains
-    (same shape as [Parse.par]; duplicated so the codegen layer needs no
-    scheduler dependency). *)
-
-val serial : par
-(** [List.map] — the default. *)
-
 type chunk = { c_items : (item * int) list; c_lo : int; c_hi : int }
 (** A contiguous run of placed items covering addresses
-    [[c_lo, c_hi)] — the unit of sharded (and memoized) encoding. *)
+    [[c_lo, c_hi)] — the unit of memoized encoding. *)
 
 type memo = {
   cmap :
@@ -94,47 +86,26 @@ type memo = {
     chunk list ->
     (Bytes.t * Icfg_obj.Reloc.t list) list;
 }
-(** Injected memoizing map (same inversion as [par]: the codegen layer
-    cannot name the cache living above it). [key] digests a chunk's items
+(** Injected memoizing map (the codegen layer cannot name the cache
+    living above it). [key] digests a chunk's items
     {e plus the resolved values of every label they reference}, so equal
     layouts hit and shifted layouts miss — the memoizer never has to
     re-fix bytes against a new label table. *)
-
-val encode_sharded :
-  Icfg_isa.Arch.t ->
-  pie:bool ->
-  toc:int ->
-  labels:(string, int) Hashtbl.t ->
-  ?par:par ->
-  ?memo:memo ->
-  ?chunks:int ->
-  layout ->
-  Bytes.t * Icfg_obj.Reloc.t list
-(** {!encode}, with the item list split into [chunks] contiguous runs
-    encoded independently through [par] (the label table is frozen after
-    {!layout}, so chunk encoding is pure). Bytes and reloc order are
-    identical to {!encode} for every [par], [memo] and [chunks] — chunk
-    extents tile the section and per-chunk reloc lists concatenate in
-    chunk order. [chunks <= 1] without [memo] is exactly {!encode}; with
-    [memo], per-chunk encoding goes through [memo.cmap] under stage
-    ["encode"] instead of [par]. *)
 
 val encode_chunks :
   Icfg_isa.Arch.t ->
   pie:bool ->
   toc:int ->
   labels:(string, int) Hashtbl.t ->
-  ?par:par ->
   ?memo:memo ->
   layout ->
   chunk list ->
   Bytes.t * Icfg_obj.Reloc.t list
 (** Encode an explicit chunk list (e.g. {!pinned_result.p_chunks}) against
     a frozen label table into one buffer spanning
-    [[lay.l_base, lay.l_end)]. Unlike {!encode_sharded} the chunks need
-    not tile the extent: uncovered holes (gaps a pinned layout left
-    behind) stay zero-filled. Relocs concatenate in chunk (address)
-    order. *)
+    [[lay.l_base, lay.l_end)]. The chunks need not tile the extent:
+    uncovered holes (gaps a pinned layout left behind) stay zero-filled.
+    Relocs concatenate in chunk (address) order. *)
 
 (** {1 Pinned-address incremental layout}
 

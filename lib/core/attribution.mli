@@ -5,11 +5,11 @@
 
     Attribution is strictly observation-only: it is assembled from the same
     per-function placement plans the rewriter already computes, in sorted
-    function order, so it is a pure function of the rewrite output —
-    identical for any [jobs] value and its presence never changes the
-    rewritten bytes or {!Rewriter.stats} (enforced by [test/test_report.ml],
-    whose reconciliation battery also asserts that the per-cause totals here
-    exactly tile the aggregate [stats]). *)
+    function order, so it is a pure function of the rewrite output, and its
+    presence never changes the rewritten bytes or {!Rewriter.stats}
+    (enforced by [test/test_report.ml], whose reconciliation battery also
+    asserts that the per-cause totals here exactly tile the aggregate
+    [stats]). *)
 
 type cause =
   (* function axis *)

@@ -425,16 +425,15 @@ let store_slot c raw v =
 (* memo_map                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let memo_map (type a b) ?cache ~jobs ~stage ~(key : a -> string)
-    (f : a -> b) (xs : a list) : b list =
+let memo_map (type a b) ?cache ~stage ~(key : a -> string) (f : a -> b)
+    (xs : a list) : b list =
   match cache with
-  | None -> Pool.map ~jobs f xs
+  | None -> List.map f xs
   | Some c ->
-      (* Serial probe phase: keys, lookups and hit/miss accounting happen
-         in input order on the calling domain, so counters are identical
-         for every [jobs] value. Hits unmarshal a private copy here —
-         cached values contain mutable tables that must never be shared
-         between two results. *)
+      (* Probe phase: keys, lookups and hit/miss accounting happen in
+         input order. Hits unmarshal a private copy here — cached values
+         contain mutable tables that must never be shared between two
+         results. *)
       let probed =
         List.map
           (fun x ->
@@ -461,8 +460,8 @@ let memo_map (type a b) ?cache ~jobs ~stage ~(key : a -> string)
             if Option.is_none hit then Some (x, k) else None)
           probed
       in
-      let computed = Pool.map ~jobs (fun (x, _) -> f x) misses in
-      (* Serial store phase, again in input order. *)
+      let computed = List.map (fun (x, _) -> f x) misses in
+      (* Store phase, again in input order. *)
       let fresh = Hashtbl.create (List.length misses * 2) in
       List.iter2
         (fun (_, k) v ->

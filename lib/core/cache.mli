@@ -2,7 +2,7 @@
 
     Every pure per-item stage of the pipeline — per-function CFG /
     jump-table analysis, finalization + liveness, function-pointer scans,
-    relocation, trampoline placement planning, and [Asm.encode_sharded]
+    relocation, trampoline placement planning, and [Asm.encode_chunks]
     chunk encoding — is a deterministic function of plain data. A cache
     entry is keyed by a digest of {e everything} that function reads
     (function bytes, whole-binary context, failure model, rewrite options,
@@ -13,7 +13,7 @@
     Two tiers share one {!t}:
 
     - an in-process store (a mutex-protected hash table) shared safely
-      across [Pool] lanes, and
+      across the daemon's executor domains, and
     - an opt-in on-disk store ([create ~dir]) with a versioned entry
       format. Corrupt, truncated or version-skewed entries degrade to a
       miss — never an error, never wrong bytes — and are evicted
@@ -24,13 +24,11 @@
       (counted in [c_evict_lru] / [cache.evict_lru]) while keeping their
       in-memory copy.
 
-    Observation safety: the cache must be jobs-independent like every
-    other pipeline observable. {!memo_map} therefore computes keys and
-    performs lookups serially in input order (so hit/miss counts cannot
-    depend on the parallel schedule) and only fans the {e misses} out
-    across the pool. Hit payloads are unmarshalled freshly per lookup, so
-    mutable structures inside cached values (CFG succ/pred tables,
-    liveness tables) are never aliased between runs. *)
+    Observation safety: {!memo_map} computes keys, performs lookups and
+    stores results in input order, so hit/miss counts are a function of
+    the inputs and the cache contents alone. Hit payloads are unmarshalled
+    freshly per lookup, so mutable structures inside cached values (CFG
+    succ/pred tables, liveness tables) are never aliased between runs. *)
 
 val schema_version : int
 (** Bumped whenever the marshalled shape of any cached value changes;
@@ -66,7 +64,7 @@ val stats : t -> stats
 
 val hit_rate : stats -> float
 (** [c_hits / (c_hits + c_misses)] in [0, 1]; [0.] when no lookups have
-    happened. Jobs-independent, like the underlying counters. *)
+    happened. Deterministic, like the underlying counters. *)
 
 val dir : t -> string option
 
@@ -88,19 +86,17 @@ val kjoin : string list -> string
 
 val memo_map :
   ?cache:t ->
-  jobs:int ->
   stage:string ->
   key:('a -> string) ->
   ('a -> 'b) ->
   'a list ->
   'b list
-(** [memo_map ?cache ~jobs ~stage ~key f xs] is observably
-    [Pool.map ~jobs f xs] — and exactly that when [cache] is [None]
-    ([key] is never called). With a cache: keys are computed and looked
-    up serially in input order, misses are computed with
-    [Pool.map ~jobs] and stored, and results are reassembled in input
-    order. [f] must be a pure function of what [key] digests, and ['b]
-    must be marshal-safe plain data. Counters ([cache.hit],
+(** [memo_map ?cache ~stage ~key f xs] is observably [List.map f xs] —
+    and exactly that when [cache] is [None] ([key] is never called). With
+    a cache: keys are computed and looked up in input order, misses are
+    computed and stored, and results are reassembled in input order. [f]
+    must be a pure function of what [key] digests, and ['b] must be
+    marshal-safe plain data. Counters ([cache.hit],
     [cache.hit:<stage>], [cache.miss], [cache.miss:<stage>],
     [cache.bytes_reused], [cache.evict_corrupt]) are recorded on the
     ambient {!Trace} when one is installed. *)

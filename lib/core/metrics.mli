@@ -19,7 +19,7 @@
     values inside the buckets vary by machine.
 
     Thread-safety: every recording operation takes the registry's mutex,
-    so pool lanes, executor domains and connection threads may record
+    so executor domains and connection threads may record
     concurrently; totals are independent of the interleaving (each
     operation is a commutative [+=]). *)
 

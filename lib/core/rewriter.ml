@@ -34,7 +34,6 @@ type options = {
   bounce_back : bool;
   dyn_translate : bool;
   sparse_placement : bool;
-  jobs : int;
 }
 
 let default_options =
@@ -55,7 +54,6 @@ let default_options =
     bounce_back = false;
     dyn_translate = false;
     sparse_placement = false;
-    jobs = 1;
   }
 
 let srbi_like payload =
@@ -78,7 +76,6 @@ let srbi_like payload =
     bounce_back = false;
     dyn_translate = false;
     sparse_placement = false;
-    jobs = 1;
   }
 
 type stats = {
@@ -209,8 +206,8 @@ let cfl_causes opts (p : Parse.t) (fa : Parse.func_analysis) =
 
 (* One rctx per relocated function. The shared configuration fields are
    read-only; the mutable accumulators are private to the function being
-   relocated, so functions can be processed on separate domains and their
-   results merged in emission order. [ns] (the function's entry address)
+   relocated, so each function's result is a pure function of its own
+   analysis, merged in emission order. [ns] (the function's entry address)
    namespaces fresh labels: label generation is then independent of the
    order in which functions are relocated. *)
 type rctx = {
@@ -670,9 +667,9 @@ let pool_alloc pool ~near ~size ~reach =
    extension, trampoline selection — everything that reads only this
    function's analysis and the finished label table) and a serial replay
    that threads the cross-function state: the scratch pool, the write list
-   and the deferred-hop list. Planning fans out across domains; the replay
-   applies plans in sorted function order, so the pool/deferred sequences
-   are identical to a fully serial run. *)
+   and the deferred-hop list. The replay applies plans in sorted function
+   order, so plans can be memoized per function without changing the
+   pool/deferred sequences. *)
 
 type tramp_class = T_short | T_long | T_trap
 
@@ -758,7 +755,6 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
     then [ "runtime.findfunc"; "runtime.pcvalue" ]
     else []
   in
-  let jobs = max 1 opts.jobs in
   let mk_ctx (fa : Parse.func_analysis) =
     {
       p;
@@ -784,15 +780,13 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
   in
   (* Everything the per-function relocation and planning stages read
      besides the function's own analysis record, digested once per run.
-     Lazy, so the cacheless path never pays for it. [jobs] is normalized
-     out: cache keys — hence hit/miss counters — must be jobs-independent
-     like every other pipeline observable. *)
+     Lazy, so the cacheless path never pays for it. *)
   let cache_ctx =
     lazy
       (Cache.kjoin
          [
            Cache.dval
-             ( { opts with jobs = 0 },
+             ( opts,
                arch,
                pie,
                toc,
@@ -817,9 +811,7 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
          ])
   in
   (* 4. Relocate all instrumented functions — one context per function,
-     fanned out across domains, merged back in emission order. The merged
-     streams are a pure function of the (deterministic) emission order, so
-     any jobs count yields bit-identical output. With a cache, each
+     merged back in emission order. With a cache, each
      function's finished accumulator image is memoized against the shared
      context plus its analysis record. *)
   let emission_funcs =
@@ -829,7 +821,7 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
   in
   let fimgs =
     Trace.span "relocate" @@ fun () ->
-    Cache.memo_map ?cache ~jobs ~stage:"rewrite/relocate"
+    Cache.memo_map ?cache ~stage:"rewrite/relocate"
       ~key:(fun fa -> Cache.kjoin [ Lazy.force cache_ctx; Cache.dval fa ])
       (fun fa ->
         let ctx = mk_ctx fa in
@@ -849,10 +841,7 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
   let n_cloned = List.fold_left (fun acc c -> acc + c.ri_n_cloned) 0 fimgs in
   (* 5. Assemble .instr and .jtnew in one label namespace. Layout
      (address/label assignment) is inherently sequential; encoding then
-     runs against the frozen label table, so it shards into contiguous
-     chunks across the same domain pool. Several chunks per lane keep the
-     lanes busy when chunk costs are skewed (data-heavy vs code-heavy
-     runs); bytes and reloc order are chunking-independent.
+     runs against the frozen label table.
 
      With a cache, layout goes through {!Asm.layout_pinned} over
      per-function segments instead: the previous run's placement (persisted
@@ -875,8 +864,7 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
         in
         let snap_key =
           Cache.dval
-            ("layout-snap", bin.Binary.name, arch, pie, toc,
-             { opts with jobs = 0 })
+            ("layout-snap", bin.Binary.name, arch, pie, toc, opts)
         in
         let prev_instr, prev_jt_base, prev_jt =
           match (Cache.find_slot c snap_key : layout_snap option) with
@@ -926,10 +914,6 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
         in
         (instr_lay, jt_base, jt_lay)
   in
-  let apar =
-    if jobs <= 1 then Asm.serial
-    else { Asm.pmap = (fun f l -> Pool.map ~jobs f l) }
-  in
   let amemo =
     match cache with
     | None -> None
@@ -937,34 +921,29 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
         Some
           {
             Asm.cmap =
-              (fun ~stage ~key f l -> Cache.memo_map ?cache ~jobs ~stage ~key f l);
+              (fun ~stage ~key f l -> Cache.memo_map ?cache ~stage ~key f l);
           }
   in
-  let enc_chunks = if jobs <= 1 then 1 else 4 * jobs in
   (* With a cache, encoding follows the pinned layout's per-function
      chunks: chunk boundaries — hence chunk cache keys and hit/miss
-     counts — are function boundaries, fixed by the binary rather than
-     jobs-derived, and a pinned function's chunk key is bit-identical
-     across runs (same items, same addresses, same resolved labels). *)
+     counts — are function boundaries, fixed by the binary, and a pinned
+     function's chunk key is bit-identical across runs (same items, same
+     addresses, same resolved labels). *)
   let instr_bytes, instr_relocs =
     Trace.span "encode:instr" @@ fun () ->
     match pinned with
     | Some (pi, _, _) ->
-        Asm.encode_chunks arch ~pie ~toc ~labels ~par:apar ?memo:amemo
+        Asm.encode_chunks arch ~pie ~toc ~labels ?memo:amemo
           pi.Asm.p_layout pi.Asm.p_chunks
-    | None ->
-        Asm.encode_sharded arch ~pie ~toc ~labels ~par:apar ?memo:amemo
-          ~chunks:enc_chunks instr_lay
+    | None -> Asm.encode arch ~pie ~toc ~labels instr_lay
   in
   let jt_bytes, jt_relocs =
     Trace.span "encode:jtnew" @@ fun () ->
     match pinned with
     | Some (_, _, pj) ->
-        Asm.encode_chunks arch ~pie ~toc ~labels ~par:apar ?memo:amemo
+        Asm.encode_chunks arch ~pie ~toc ~labels ?memo:amemo
           pj.Asm.p_layout pj.Asm.p_chunks
-    | None ->
-        Asm.encode_sharded arch ~pie ~toc ~labels ~par:apar ?memo:amemo
-          ~chunks:enc_chunks jt_lay
+    | None -> Asm.encode arch ~pie ~toc ~labels jt_lay
   in
   let label_addr l = Asm.label_exn labels l in
   let reloc_of a = label_addr (block_label a) in
@@ -1031,9 +1010,9 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
       max_int
       (Binary.func_symbols bin)
   in
-  (* First pass: per-function placement plans, computed in parallel (pure:
-     they read only the function's analysis, read-only binary state and the
-     finished label table)... *)
+  (* First pass: per-function placement plans (pure: they read only the
+     function's analysis, read-only binary state and the finished label
+     table)... *)
   let plan_function fa =
     let cfl_causes_l = cfl_causes opts p fa in
     let cfl = IntSet.of_list (List.map fst cfl_causes_l) in
@@ -1119,7 +1098,7 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
   in
   let plans =
     Trace.span "place:plan" @@ fun () ->
-    Cache.memo_map ?cache ~jobs ~stage:"rewrite/plan" ~key:plan_key
+    Cache.memo_map ?cache ~stage:"rewrite/plan" ~key:plan_key
       plan_function sorted_ifuncs
   in
   (* ...then a serial replay in sorted function order threads the scratch
@@ -1208,7 +1187,7 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
     !deferred);
   (* Coverage attribution: assembled from the per-function plans in sorted
      function order plus the placement-cause map, so it is a pure function
-     of the rewrite output (jobs-independent) and never feeds back into it. *)
+     of the rewrite output and never feeds back into it. *)
   let attribution =
     let block_sites =
       List.map
@@ -1376,9 +1355,8 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
   in
   ignore translate_idx;
   (* Named counters mirror [stats] plus byte-level measures. Everything
-     reported here must be a pure function of the rewrite output — never of
-     the parallel schedule (lane/chunk counts) — so totals are identical for
-     any jobs value (asserted by test/test_trace.ml). *)
+     reported here must be a pure function of the rewrite output, so totals
+     are identical across runs of the same input. *)
   if Trace.active () then begin
     Trace.add "rewrite/funcs-total" stats.s_funcs_total;
     Trace.add "rewrite/funcs-instrumented" stats.s_funcs_instrumented;

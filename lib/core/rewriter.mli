@@ -64,13 +64,6 @@ type options = {
           blocks — every CFL-to-instrumented path crosses a callee entry
           trampoline. Execution runs hybrid: unrewritten landings continue
           in the original code until the next call *)
-  jobs : int;
-      (** fan per-function relocation and trampoline planning out across
-          this many domains (see {!Pool}). Any value produces output
-          bit-identical to [jobs = 1]: functions are merged back in
-          emission order, labels are namespaced per function, and the
-          scratch-pool/deferred-hop state is replayed serially in sorted
-          function order. [jobs <= 1] never touches domain machinery *)
 }
 
 val default_options : options
@@ -114,7 +107,7 @@ type t = {
   rw_stats : stats;
   rw_attribution : Attribution.t;
       (** per-block / per-site cause attribution; observation-only — a pure
-          function of the rewrite output, identical for any [jobs], and its
+          function of the rewrite output, and its
           totals exactly tile [rw_stats] (see {!Attribution}) *)
   rw_relocated_entry : int -> int option;
       (** original block/entry address -> relocated address *)
@@ -127,11 +120,11 @@ val rewrite : ?cache:Cache.t -> ?options:options -> Icfg_analysis.Parse.t -> t
     (stage [rewrite/relocate]), trampoline placement plans
     ([rewrite/plan]) and encode chunks ([encode]) — keyed on everything
     each stage reads, so warm identical re-rewrites are dominated by the
-    serial layout/replay/emit tail. Output bytes are identical with and
-    without a cache for every mode, failure model and jobs count (pinned
-    by the determinism battery), and all cache counters are
-    jobs-independent: with a cache the encode chunk count is a fixed
-    constant, and lookups happen serially in input order. *)
+    layout/replay/emit tail. Output bytes are identical with and without
+    a cache for every mode and failure model, and cache counters depend
+    only on the input and the cache contents: encode chunks are the
+    pinned layout's per-function chunks, and lookups happen in input
+    order. *)
 
 val vm_config_for : t -> Icfg_runtime.Vm.config -> Icfg_runtime.Vm.config
 (** Install the trap map and (when enabled) the RA-translation hooks into a

@@ -1,6 +1,6 @@
 (** Small numeric/formatting helpers shared by the rewriter's statistics
-    output and the harness's experiment reports (the harness [Stats] module
-    re-exports these, so both layers render percentages identically). *)
+    output and the harness's experiment reports, so both layers render
+    percentages identically. *)
 
 val mean : float list -> float
 val max_f : float list -> float

@@ -9,11 +9,10 @@
 
     Domain-safety: span nesting is tracked per-domain ([Domain.DLS]), and
     attaching finished spans / bumping counters takes the trace's mutex, so
-    sharded [Pool] stages can record per-lane child spans concurrently.
-    Counter *totals* are required to be independent of the lane count —
-    instrumentation must only count properties of the input/output, never of
-    the parallel schedule (chunk or lane counts); span shapes may differ per
-    run, totals may not. *)
+    a trace may be read from another domain while its request records.
+    Instrumentation counts properties of the input/output only, so counter
+    totals are identical across runs of the same input; span timings may
+    differ, totals may not. *)
 
 type t
 
@@ -22,9 +21,8 @@ val create : unit -> t
 val with_current : t -> (unit -> 'a) -> 'a
 (** Install [t] as {e this domain's} ambient trace for the duration of [f]
     (restoring the previous ambient trace on exit, exceptional or not).
-    Spans and counters recorded by the pipeline anywhere under [f] —
-    including from pool worker domains servicing [f]'s batches, which
-    re-install the forking domain's trace via [lane] — land in [t].
+    Spans and counters recorded by the pipeline anywhere under [f] land
+    in [t].
 
     The ambient trace is per-domain ([Domain.DLS]), so concurrent requests
     running on distinct domains (the [icfg serve] executors) each observe
@@ -47,21 +45,6 @@ val add : string -> int -> unit
     ambient. *)
 
 val incr : string -> unit
-
-(** {1 Cross-domain span parenting}
-
-    [Pool.map] captures the caller's innermost open span with [fork] before
-    fanning out, and each lane (worker domains and the caller itself) runs
-    its batch body under [lane ctx "lane-<k>"], which re-parents the lane's
-    span tree under the captured span {e and} installs the forking domain's
-    trace as the worker's ambient for the batch — workers are shared across
-    concurrent requests, so the batch must record into the forking request's
-    trace, not the worker's leftover ambient. *)
-
-type ctx
-
-val fork : unit -> ctx
-val lane : ctx -> string -> (unit -> 'a) -> 'a
 
 (** {1 Reading} *)
 

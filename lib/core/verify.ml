@@ -55,16 +55,13 @@ let strong_test ?(options = Rewriter.default_options) ?fm bin =
       overwrite_original = true;
     }
   in
-  let par =
-    { Parse.pmap = (fun f l -> Pool.map ~jobs:(max 1 options.Rewriter.jobs) f l) }
-  in
   (* The whole strong test runs under its own trace so the report can say
      where cycles and traps went; when the caller already installed an
      ambient trace it is shadowed for the duration (nesting would double
      count the shared counter namespace). *)
   let trace = Trace.create () in
   Trace.with_current trace @@ fun () ->
-  let parse = Parse.parse ?fm ~par ~probe:(Trace.parse_probe ()) bin in
+  let parse = Parse.parse ?fm ~probe:(Trace.parse_probe ()) bin in
   let rw = Rewriter.rewrite ~options parse in
   (* Which functions were actually instrumented (instrumentable + filter)? *)
   let instrumented fa =

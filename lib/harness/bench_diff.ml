@@ -197,11 +197,6 @@ let counter_worse_higher name =
       "evict_corrupt"; "overloaded"; "errors"; "needfull"; "mismatch";
       "pipeline_misses"; "rejected" ]
 
-(* A [lane-<k>] path segment marks a schedule-dependent span: lanes exist
-   only when the domain pool actually spawns, so their presence varies
-   across machines and must not gate. *)
-let is_lane_row path = contains ~sub:"lane-" path
-
 (* Sub-50µs one-shot spans are dominated by scheduling jitter; a relative
    gate alone flaps on them, so a time regression also needs this much
    absolute growth. *)
@@ -254,12 +249,8 @@ let diff ?gate old_json new_json =
             match List.assoc_opt k news with
             | Some nrow -> on_pair k orow nrow
             | None ->
-                if is_lane_row k then
-                  report Info (section ^ ":" ^ k)
-                    "schedule-dependent lane row absent in NEW run"
-                else
-                  report Regression (section ^ ":" ^ k)
-                    "row present in OLD but missing in NEW")
+                report Regression (section ^ ":" ^ k)
+                  "row present in OLD but missing in NEW")
           olds;
         (* Added-row policy: a row only NEW knows about is expected when a
            run grows coverage (new benchmarks, new cache rows) — always
@@ -304,16 +295,8 @@ let diff ?gate old_json new_json =
         ~on_pair:(fun k orow nrow ->
           check_time ("micro:" ^ k) (num_member "ns_per_run" orow)
             (num_member "ns_per_run" nrow));
-      let stage_jobs_key r =
-        match (str_member "stage" r, num_member "jobs" r) with
-        | Some st, Some j -> Some (Printf.sprintf "%s@j%d" st (int_of_float j))
-        | _ -> None
-      in
-      compare_rows ~section:"parallel" ~key_of:stage_jobs_key
-        ~on_pair:(fun k orow nrow ->
-          check_time ("parallel:" ^ k) (num_member "ns_per_run" orow)
-            (num_member "ns_per_run" nrow));
-      compare_rows ~section:"stages" ~key_of:stage_jobs_key
+      compare_rows ~section:"stages"
+        ~key_of:(fun r -> str_member "stage" r)
         ~on_pair:(fun k orow nrow ->
           check_time ("stages:" ^ k) (num_member "ns" orow)
             (num_member "ns" nrow);

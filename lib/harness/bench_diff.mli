@@ -1,11 +1,10 @@
 (** The bench regression gate: compare two [BENCH_micro.json] runs
-    (schema [icfg-bench-micro/1]) — micro rows, parallel rows, per-stage
-    trace rows and their merged counter totals — and classify every
-    difference.
+    (schema [icfg-bench-micro/1]) — micro rows, per-stage trace rows and
+    their merged counter totals — and classify every difference.
 
     Policy:
 
-    - Counters are compared exactly per [(stage, jobs, name)]. An increase
+    - Counters are compared exactly per [(stage, name)]. An increase
       in a worse-is-higher counter (trap trampolines, runtime traps, size
       growth, icache misses) is a {e regression}; any other change is
       informational (deterministic counters should not move, but a changed
@@ -17,8 +16,7 @@
       50µs noise floor is a regression (one-shot sub-µs spans jitter by
       integer factors and must not flap the gate).
     - A row present in OLD but missing in NEW is a regression (lost
-      coverage), except [lane-*] trace rows, which exist only when the
-      domain pool actually spawns and are schedule-dependent.
+      coverage).
     - A row (or counter) present only in NEW carries the explicit
       {!severity.Added} classification: always reported — a growing
       suite should be visible — and never gating, so landing new bench

@@ -3,6 +3,7 @@ module Binary = Icfg_obj.Binary
 module Parse = Icfg_analysis.Parse
 module Failure_model = Icfg_analysis.Failure_model
 module Rewriter = Icfg_core.Rewriter
+module Stats = Icfg_core.Stats
 module Mode = Icfg_core.Mode
 module Baseline = Icfg_baselines.Baseline
 module Capabilities = Icfg_baselines.Capabilities

@@ -25,7 +25,6 @@ type row = {
 type t = {
   m_seed : int;
   m_count : int;
-  m_jobs : int;
   m_rows : row list;
   m_cache : Cache.stats;
   m_hit_rate : float;
@@ -87,10 +86,10 @@ let cls_of_string s =
    shape may defeat a rewriter outright (e.g. an encoder range
    overflow); that is a [Crashed] cell, not the end of the sweep — and
    in the serve daemon, a typed error, not a dead process. *)
-let eval_cell ~orig ~approach ?(jobs = 1) ?cache bin =
+let eval_cell ~orig ~approach ?cache bin =
   let t0 = Unix.gettimeofday () in
   let c =
-    match Runner.drive ~approach ~jobs ?cache bin with
+    match Runner.drive ~approach ?cache bin with
     | None -> Crashed ("unknown approach: " ^ approach)
     | Some outcome -> classify ~orig outcome
     | exception e -> Crashed (Printexc.to_string e)
@@ -127,15 +126,12 @@ let row_of ~approach cells =
     row_p95_ns = rank_of_sorted times 0.95;
   }
 
-let run ?(seed = 7) ?(count = 300) ?(jobs = 1) ?(progress = fun _ -> ()) () =
-  let jobs = max 1 jobs in
+let run ?(seed = 7) ?(count = 300) ?(progress = fun _ -> ()) () =
   let entries = Corpus.generate ~seed ~count in
   let cache = Cache.create () in
-  (* One shared cache, cells evaluated serially in corpus order: hit/miss
-     counts (and thus the corpus-wide hit rate) are jobs-independent,
-     because [Cache.memo_map] probes serially and only fans misses out.
-     Parallelism lives inside each cell's parse/rewrite pipeline — the
-     pool must not be entered twice (no nested [Pool.map]). *)
+  (* One shared cache, cells evaluated serially in corpus order, so
+     hit/miss counts (and thus the corpus-wide hit rate) are
+     deterministic. *)
   let cells = Hashtbl.create 8 in
   List.iter
     (fun (name, _) -> Hashtbl.replace cells name [])
@@ -146,7 +142,7 @@ let run ?(seed = 7) ?(count = 300) ?(jobs = 1) ?(progress = fun _ -> ()) () =
       let orig = Runner.run_original bin in
       List.iter
         (fun (name, _) ->
-          let cell = eval_cell ~orig ~approach:name ~jobs ~cache bin in
+          let cell = eval_cell ~orig ~approach:name ~cache bin in
           Hashtbl.replace cells name (cell :: Hashtbl.find cells name))
         Baseline.approaches;
       progress (i + 1))
@@ -161,7 +157,6 @@ let run ?(seed = 7) ?(count = 300) ?(jobs = 1) ?(progress = fun _ -> ()) () =
   {
     m_seed = seed;
     m_count = count;
-    m_jobs = jobs;
     m_rows = rows;
     m_cache = stats;
     m_hit_rate = Cache.hit_rate stats;
@@ -170,8 +165,8 @@ let run ?(seed = 7) ?(count = 300) ?(jobs = 1) ?(progress = fun _ -> ()) () =
 let render m =
   let b = Buffer.create 1024 in
   Printf.bprintf b
-    "== Corpus robustness matrix (seed %d, %d binaries, jobs %d) ==\n"
-    m.m_seed m.m_count m.m_jobs;
+    "== Corpus robustness matrix (seed %d, %d binaries) ==\n" m.m_seed
+    m.m_count;
   Printf.bprintf b "  %-16s %6s %9s %9s %8s %8s %10s %10s\n" "approach"
     "pass%" "verified" "diverged" "refused" "crashed" "p50(ms)" "p95(ms)";
   List.iter

@@ -4,12 +4,9 @@
     pass-rate / refusal-histogram / latency rows.
 
     Cells are evaluated serially in corpus order against one shared
-    {!Icfg_core.Cache}; parallelism ([jobs]) lives {e inside} each cell's
-    parse/rewrite pipeline (the {!Icfg_core.Pool} must not be entered
-    twice). Because {!Icfg_core.Cache.memo_map} probes serially, every
-    classification count and the corpus-wide hit rate are deterministic:
-    independent of [jobs] and of the machine. Only the [p50]/[p95] wall
-    times vary between runs. *)
+    {!Icfg_core.Cache}, so every classification count and the corpus-wide
+    hit rate are deterministic, independent of the machine. Only the
+    [p50]/[p95] wall times vary between runs. *)
 
 (** What one (binary, approach) cell did. *)
 type cls =
@@ -37,7 +34,6 @@ type row = {
 type t = {
   m_seed : int;
   m_count : int;
-  m_jobs : int;
   m_rows : row list;  (** one per roster entry, in roster order *)
   m_cache : Icfg_core.Cache.stats;  (** shared-cache stats for the sweep *)
   m_hit_rate : float;  (** corpus-wide {!Icfg_core.Cache.hit_rate} *)
@@ -70,7 +66,6 @@ val classify :
 val eval_cell :
   orig:Runner.run ->
   approach:string ->
-  ?jobs:int ->
   ?cache:Icfg_core.Cache.t ->
   Icfg_obj.Binary.t ->
   float * cls
@@ -85,7 +80,7 @@ val row_of : approach:string -> (float * cls) list -> row
 (** Aggregate cells (in corpus order) into a row. *)
 
 val run :
-  ?seed:int -> ?count:int -> ?jobs:int -> ?progress:(int -> unit) -> unit -> t
+  ?seed:int -> ?count:int -> ?progress:(int -> unit) -> unit -> t
 (** Sweep [Corpus.generate ~seed ~count] (defaults: seed 7, count 300)
     through every roster approach. [progress] is called with the number of
     corpus entries completed after each binary. *)

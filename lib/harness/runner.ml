@@ -1,47 +1,28 @@
 module Vm = Icfg_runtime.Vm
 module Runtime_lib = Icfg_runtime.Runtime_lib
 module Rewriter = Icfg_core.Rewriter
-module Pool = Icfg_core.Pool
+module Stats = Icfg_core.Stats
 module Parse = Icfg_analysis.Parse
 module Binary = Icfg_obj.Binary
 module Baseline = Icfg_baselines.Baseline
 
 (* ------------------------------------------------------------------ *)
-(* The sharded rewriting pipeline entry points                         *)
+(* The rewriting pipeline entry points                                 *)
 (* ------------------------------------------------------------------ *)
 
-let par_of_jobs jobs = { Parse.pmap = (fun f l -> Pool.map ~jobs f l) }
+let parse ?fm ?cache bin = Baseline.pipeline_parse ?fm ?cache bin
 
-let memo_of_cache ~jobs cache =
-  {
-    Parse.mmap =
-      (fun ~stage ~key f l ->
-        Icfg_core.Cache.memo_map ~cache ~jobs ~stage ~key f l);
-  }
-
-let parse ?fm ?(jobs = 1) ?cache bin =
-  let jobs = max 1 jobs in
-  Parse.parse ?fm ~par:(par_of_jobs jobs)
-    ~probe:(Icfg_core.Trace.parse_probe ())
-    ?memo:(Option.map (memo_of_cache ~jobs) cache)
-    bin
-
-let rewrite ?fm ?(options = Rewriter.default_options) ?jobs ?cache bin =
-  let jobs = max 1 (Option.value ~default:options.Rewriter.jobs jobs) in
-  let p = parse ?fm ~jobs ?cache bin in
-  Rewriter.rewrite ?cache ~options:{ options with Rewriter.jobs } p
+let rewrite ?fm ?(options = Rewriter.default_options) ?cache bin =
+  Rewriter.rewrite ?cache ~options (parse ?fm ?cache bin)
 
 (* Name-addressed driving: the one resolution point shared by the corpus
    matrix and the serve daemon, so a request naming an approach runs the
    exact code path the in-process sweep runs (classification equality
    between the two is a gated invariant). *)
-let drive ~approach ?jobs ?cache bin =
+let drive ~approach ?cache bin =
   Option.map
-    (fun (driver :
-           ?jobs:int ->
-           ?cache:Icfg_core.Cache.t ->
-           Binary.t ->
-           Baseline.outcome) -> driver ?jobs ?cache bin)
+    (fun (driver : ?cache:Icfg_core.Cache.t -> Binary.t -> Baseline.outcome) ->
+      driver ?cache bin)
     (List.assoc_opt approach Baseline.approaches)
 
 (* ------------------------------------------------------------------ *)

@@ -5,22 +5,14 @@
     overhead source) and the empty instrumentation payload, exactly like the
     paper's block-level empty-instrumentation test. *)
 
-(** {1 Sharded rewriting pipeline}
+(** {1 Rewriting pipeline}
 
-    The whole-binary pipeline (per-function parse passes, then per-function
-    relocation and trampoline planning) fanned out over [jobs] domains.
-    Output is bit-identical for every [jobs] value; [test_parallel]
-    enforces this. *)
-
-val par_of_jobs : int -> Icfg_analysis.Parse.par
-(** A {!Icfg_core.Pool}-backed mapper for [Parse.parse ~par]. *)
-
-val memo_of_cache : jobs:int -> Icfg_core.Cache.t -> Icfg_analysis.Parse.memo
-(** A {!Icfg_core.Cache.memo_map}-backed memoizer for [Parse.parse ~memo]. *)
+    The whole-binary pipeline: per-function parse passes, then
+    per-function relocation and trampoline planning, optionally memoized
+    in a shared {!Icfg_core.Cache}. *)
 
 val parse :
   ?fm:Icfg_analysis.Failure_model.t ->
-  ?jobs:int ->
   ?cache:Icfg_core.Cache.t ->
   Icfg_obj.Binary.t ->
   Icfg_analysis.Parse.t
@@ -28,17 +20,14 @@ val parse :
 val rewrite :
   ?fm:Icfg_analysis.Failure_model.t ->
   ?options:Icfg_core.Rewriter.options ->
-  ?jobs:int ->
   ?cache:Icfg_core.Cache.t ->
   Icfg_obj.Binary.t ->
   Icfg_core.Rewriter.t
-(** Parse + rewrite. [jobs] (default: [options.jobs]) and [cache] are
-    threaded through both stages; output is bit-identical with and without
-    a cache. *)
+(** Parse + rewrite. [cache] is threaded through both stages; output is
+    bit-identical with and without a cache. *)
 
 val drive :
   approach:string ->
-  ?jobs:int ->
   ?cache:Icfg_core.Cache.t ->
   Icfg_obj.Binary.t ->
   Icfg_baselines.Baseline.outcome option

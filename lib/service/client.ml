@@ -40,20 +40,20 @@ let call_payload c make ~fallback payload =
       | None -> assert false)
   | r -> r
 
-let rewrite_payload c ~approach ?(jobs = 0) ?fallback payload =
+let rewrite_payload c ~approach ?fallback payload =
   call_payload c
-    (fun payload -> Protocol.Rewrite { approach; jobs; payload })
+    (fun payload -> Protocol.Rewrite { approach; reserved = 0; payload })
     ~fallback payload
 
-let classify_payload c ~approach ?(jobs = 0) ?fallback payload =
+let classify_payload c ~approach ?fallback payload =
   call_payload c
-    (fun payload -> Protocol.Classify { approach; jobs; payload })
+    (fun payload -> Protocol.Classify { approach; reserved = 0; payload })
     ~fallback payload
 
-let rewrite c ~approach ?(jobs = 0) bin =
-  rewrite_payload c ~approach ~jobs (Protocol.Full (Binfile.to_string bin))
+let rewrite c ~approach bin =
+  rewrite_payload c ~approach (Protocol.Full (Binfile.to_string bin))
 
-let classify c ~approach ?(jobs = 0) bin =
-  classify_payload c ~approach ~jobs (Protocol.Full (Binfile.to_string bin))
+let classify c ~approach bin =
+  classify_payload c ~approach (Protocol.Full (Binfile.to_string bin))
 
 let stats c ?(flight = false) () = call c (Protocol.Stats { flight })

@@ -4,7 +4,7 @@ module Metrics = Icfg_core.Metrics
 (* Wire format (DESIGN §13, §15):
 
    frame   := len:u32le payload            len = |payload|, <= max_frame
-   payload := magic:"isrv1" tag:u8 body
+   payload := magic:"isrv2" tag:u8 body
 
    body fields are themselves length-prefixed:
      str  := n:u32le byte*n
@@ -20,8 +20,8 @@ module Metrics = Icfg_core.Metrics
 
    Request tags (high bit clear):
      0x01 Ping
-     0x02 Rewrite   body = str approach, u32 jobs, bpay
-     0x03 Classify  body = str approach, u32 jobs, bpay
+     0x02 Rewrite   body = str approach, u32 reserved, bpay
+     0x03 Classify  body = str approach, u32 reserved, bpay
      0x04 Stats     body = u8 flight?
      0x05 Register  body = str bin (Binfile bytes)
    Response tags (high bit set):
@@ -42,7 +42,7 @@ module Metrics = Icfg_core.Metrics
    and [response_of_payload] return [Error _] on any malformed input, so a
    garbage frame is a refused request, not a dead connection thread. *)
 
-let magic = "isrv1"
+let magic = "isrv2"
 let max_frame = 256 * 1024 * 1024
 
 type payload =
@@ -52,8 +52,8 @@ type payload =
 
 type request =
   | Ping
-  | Rewrite of { approach : string; jobs : int; payload : payload }
-  | Classify of { approach : string; jobs : int; payload : payload }
+  | Rewrite of { approach : string; reserved : int; payload : payload }
+  | Classify of { approach : string; reserved : int; payload : payload }
   | Stats of { flight : bool }
   | Register of { bin : string }
 
@@ -132,17 +132,17 @@ let put_payload b = function
 
 let request_to_payload = function
   | Ping -> payload 0x01 ""
-  | Rewrite { approach; jobs; payload = p } ->
+  | Rewrite { approach; reserved; payload = p } ->
       payload 0x02
         (body (fun b ->
              put_str b approach;
-             put_u32 b jobs;
+             put_u32 b reserved;
              put_payload b p))
-  | Classify { approach; jobs; payload = p } ->
+  | Classify { approach; reserved; payload = p } ->
       payload 0x03
         (body (fun b ->
              put_str b approach;
-             put_u32 b jobs;
+             put_u32 b reserved;
              put_payload b p))
   | Stats { flight } ->
       payload 0x04 (body (fun b -> Buffer.add_char b (if flight then '\x01' else '\x00')))
@@ -291,11 +291,11 @@ let request_of_payload =
       | 0x01 -> finish c Ping
       | 0x02 | 0x03 ->
           let approach = get_str c in
-          let jobs = get_u32 c in
+          let reserved = get_u32 c in
           let p = get_payload c in
           finish c
-            (if tag = 0x02 then Rewrite { approach; jobs; payload = p }
-             else Classify { approach; jobs; payload = p })
+            (if tag = 0x02 then Rewrite { approach; reserved; payload = p }
+             else Classify { approach; reserved; payload = p })
       | 0x04 ->
           need c 1;
           let flight = c.s.[c.pos] <> '\x00' in

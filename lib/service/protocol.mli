@@ -1,8 +1,8 @@
 (** The [icfg serve] wire protocol: length-prefixed frames on a Unix
-    socket, each framing one tagged, versioned payload (magic ["isrv1"]).
+    socket, each framing one tagged, versioned payload (magic ["isrv2"]).
 
     Layout (see DESIGN §13/§15 for the byte-level grammar):
-    [frame := len:u32le payload], [payload := "isrv1" tag:u8 body], with
+    [frame := len:u32le payload], [payload := "isrv2" tag:u8 body], with
     every variable-length body field itself length-prefixed. Frames are
     capped at {!max_frame}; binaries travel as {!Icfg_obj.Binfile}
     container bytes — in full, by registered digest, or as a sparse
@@ -28,10 +28,12 @@ type payload =
 
 type request =
   | Ping  (** liveness probe; answered inline by the accept side *)
-  | Rewrite of { approach : string; jobs : int; payload : payload }
+  | Rewrite of { approach : string; reserved : int; payload : payload }
       (** rewrite the payload binary with the named
-          {!Icfg_baselines.Baseline.approaches} roster entry *)
-  | Classify of { approach : string; jobs : int; payload : payload }
+          {!Icfg_baselines.Baseline.approaches} roster entry. [reserved]
+          is the slot that once carried a per-request parallelism; the
+          client sends 0 and the daemon ignores it *)
+  | Classify of { approach : string; reserved : int; payload : payload }
       (** run the full corpus-matrix cell (original run + rewrite + VM
           verification) in the daemon and return the classification *)
   | Stats of { flight : bool }

@@ -176,6 +176,6 @@ let shutdown t =
   t.workers <- [];
   Mutex.unlock t.m;
   (* Join so short-lived servers (every test) release their domains:
-     the runtime caps live domains, and unlike the global Pool these
-     executors are per-server, not a process-wide singleton. *)
+     the runtime caps live domains, and these executors are per-server,
+     not a process-wide singleton. *)
   List.iter Domain.join ws

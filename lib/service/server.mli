@@ -31,7 +31,6 @@ val start :
   path:string ->
   ?bound:int ->
   ?workers:int ->
-  ?jobs:int ->
   ?cache:Icfg_core.Cache.t ->
   ?flight:Flight.t ->
   ?max_frame:int ->
@@ -41,11 +40,10 @@ val start :
   t
 (** Bind a Unix socket at [path] (an existing file is replaced), spawn
     the accept thread and [workers] executor domains (default 2).
-    [bound] (default 64) is the request-queue bound. [jobs] (default 1)
-    is the per-request pipeline parallelism used when a request carries
-    [jobs <= 0]. [cache] (default: fresh) is the shared cross-request
-    cache. [flight] (default: fresh with default bounds) is the flight
-    recorder — injectable so tests can shrink the bounds.
+    [bound] (default 64) is the request-queue bound. [cache] (default:
+    fresh) is the shared cross-request cache. [flight] (default: fresh
+    with default bounds) is the flight recorder — injectable so tests can
+    shrink the bounds.
 
     Incremental-protocol knobs: [max_frame] (default
     {!Protocol.max_frame}, clamped to it) bounds accepted request
@@ -89,8 +87,8 @@ val store : t -> Store.t
 (** The content-addressed binary store behind [Register]/[Ref]/[Patch]. *)
 
 val response_memo : t -> Store.t
-(** The whole-response memo: (kind, approach, normalized jobs, input
-    digest) → first pipeline response's encoded payload. Replays answer
+(** The whole-response memo: (kind, approach, input digest) → first
+    pipeline response's encoded payload. Replays answer
     from here on the connection thread, byte-identical, without entering
     the scheduler. Memo hits count as served requests and reach the
     flight recorder, but fold no [trace.*]/[stage.*] telemetry — there

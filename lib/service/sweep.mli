@@ -41,7 +41,6 @@ val run :
   ?seed:int ->
   ?count:int ->
   ?clients:int ->
-  ?jobs:int ->
   ?workers:int ->
   ?bound:int ->
   ?payload_mode:payload_mode ->
@@ -57,7 +56,6 @@ val check :
   ?seed:int ->
   ?count:int ->
   ?clients:int ->
-  ?jobs:int ->
   unit ->
   bool * string * result
 (** Run {!run} and {!Icfg_harness.Matrix.run} on the same slice and

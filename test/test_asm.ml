@@ -328,6 +328,74 @@ let layout_matches_encoding =
       let lay = Asm.layout arch ~pie:false ~labels:labels2 ~base:0x400000 items in
       lay.Asm.l_end - lay.Asm.l_base = Bytes.length r.Asm.data)
 
+(* An item stream exercising every boundary shape a chunk split can cut
+   through: zero-size labels, address-dependent alignment, multi-insn
+   materializations, raw bytes, space, and data words that resolve labels
+   both backwards and forwards (and emit relocs under PIE). *)
+let chunk_items n =
+  List.concat
+    (List.init n (fun i ->
+         [
+           Asm.Label (Printf.sprintf "S%d" i);
+           Asm.Insn (Insn.Mov (Reg.r0, Imm (i * 7)));
+           Asm.Jcc_to (Insn.Eq, Printf.sprintf "S%d" (i / 2));
+           Asm.Align (8, `Nop);
+           Asm.Data
+             ( Insn.W64,
+               Asm.Addr (Printf.sprintf "S%d" (min (n - 1) (i + 1))),
+               `Reloc );
+           Asm.Data
+             (Insn.W32, Asm.Diff (Printf.sprintf "S%d" i, "S0", 1), `No_reloc);
+           (* sizes stay multiples of 4 so RISC branch targets remain
+              aligned, as in any real item stream *)
+           Asm.Raw "abcd";
+           Asm.Space 4;
+           Asm.Mater_const (Reg.r0, 0x400000 + (i * 16));
+         ]))
+
+(* Split a layout's placed items into [k] contiguous chunks of uneven
+   size; with [k] above the item count some chunks are empty. *)
+let chunks_of (lay : Asm.layout) k =
+  let items = Array.of_list lay.Asm.items in
+  let n = Array.length items in
+  let start j = j * n / k in
+  let addr_of i = if i >= n then lay.Asm.l_end else snd items.(i) in
+  List.init k (fun j ->
+      let i0 = start j and i1 = start (j + 1) in
+      {
+        Asm.c_items = Array.to_list (Array.sub items i0 (i1 - i0));
+        c_lo = addr_of i0;
+        c_hi = addr_of i1;
+      })
+
+(* [encode_chunks] over any contiguous tiling — one chunk, uneven splits,
+   one item per chunk, empty chunks — reproduces [encode] byte for byte,
+   relocs included. *)
+let test_encode_chunks_identity () =
+  List.iter
+    (fun arch ->
+      List.iter
+        (fun pie ->
+          let labels = Hashtbl.create 256 in
+          let lay =
+            Asm.layout arch ~pie ~labels ~base:0x400000 (chunk_items 97)
+          in
+          let bytes, relocs = Asm.encode arch ~pie ~toc:0 ~labels lay in
+          List.iter
+            (fun k ->
+              let b, r =
+                Asm.encode_chunks arch ~pie ~toc:0 ~labels lay (chunks_of lay k)
+              in
+              let what =
+                Printf.sprintf "%s pie=%b chunks=%d" (Arch.name arch) pie k
+              in
+              Alcotest.(check bool) (what ^ " bytes") true
+                (Bytes.equal bytes b);
+              Alcotest.(check bool) (what ^ " relocs") true (relocs = r))
+            [ 1; 2; 3; 7; 16; 64; List.length lay.Asm.items; 1000 ])
+        [ false; true ])
+    Arch.all
+
 let suite =
   [
     ( "asm",
@@ -348,6 +416,8 @@ let suite =
           test_pinned_stable;
         Alcotest.test_case "pinned layout: growth spills to tail" `Quick
           test_pinned_growth;
+        Alcotest.test_case "encode_chunks = encode for any chunking" `Quick
+          test_encode_chunks_identity;
         QCheck_alcotest.to_alcotest layout_matches_encoding;
       ] );
   ]

@@ -1,17 +1,39 @@
-(* The content-addressed cache in isolation: key construction, the
-   memo_map contract, clone semantics, and — the part that earns its own
-   battery — fault tolerance of the on-disk tier. A corrupt, truncated,
-   version-skewed or hand-forged entry must degrade to a silent miss with
-   a correct rewrite and a counted eviction; it must never surface as an
-   error or as wrong bytes. *)
+(* The content-addressed cache: key construction, the memo_map
+   contract, clone semantics, fault tolerance of the on-disk tier, and
+   the pipeline-level guarantees — cached rewrites are byte-identical to
+   uncached ones, and an edit invalidates exactly the entries it touches.
+   A corrupt, truncated, version-skewed or hand-forged entry must degrade
+   to a silent miss with a correct rewrite and a counted eviction; it
+   must never surface as an error or as wrong bytes. *)
 
 module Cache = Icfg_core.Cache
+module Trace = Icfg_core.Trace
+module Rewriter = Icfg_core.Rewriter
+module Mode = Icfg_core.Mode
 module Runner = Icfg_harness.Runner
 
 let spec_bin () =
   let arch = Icfg_isa.Arch.X86_64 in
   let bench = List.hd (Icfg_workloads.Spec_suite.benchmarks arch) in
   fst (Icfg_workloads.Spec_suite.compile arch bench)
+
+let opts mode =
+  { Rewriter.default_options with Rewriter.mode; payload = Rewriter.P_count }
+
+let with_temp_dir f =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "icfgcache-%d-%d" (Unix.getpid ()) (Random.bits ()))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists dir then (
+        Array.iter
+          (fun f -> Sys.remove (Filename.concat dir f))
+          (Sys.readdir dir);
+        Sys.rmdir dir))
+    (fun () -> f dir)
 
 (* ------------------------------------------------------------------ *)
 (* Keys                                                                *)
@@ -33,16 +55,19 @@ let key_injectivity () =
 (* ------------------------------------------------------------------ *)
 
 let memo_map_no_cache () =
-  (* Without a cache, memo_map is Pool.map and the key function is never
+  (* Without a cache, memo_map is List.map and the key function is never
      consulted. *)
   let xs = List.init 100 (fun i -> i) in
   let r =
-    Cache.memo_map ~jobs:4 ~stage:"t"
+    Cache.memo_map ~stage:"t"
       ~key:(fun _ -> Alcotest.fail "key called without a cache")
       (fun x -> x * x)
       xs
   in
-  Alcotest.(check (list int)) "identity with Pool.map" (List.map (fun x -> x * x) xs) r
+  Alcotest.(check (list int))
+    "identity with List.map"
+    (List.map (fun x -> x * x) xs)
+    r
 
 let memo_map_basic () =
   let c = Cache.create () in
@@ -53,9 +78,9 @@ let memo_map_basic () =
     (x, string_of_int x)
   in
   let key x = Cache.dval x in
-  let r1 = Cache.memo_map ~cache:c ~jobs:2 ~stage:"t" ~key f xs in
+  let r1 = Cache.memo_map ~cache:c ~stage:"t" ~key f xs in
   Alcotest.(check int) "cold: one call per item" 50 (Atomic.get calls);
-  let r2 = Cache.memo_map ~cache:c ~jobs:2 ~stage:"t" ~key f xs in
+  let r2 = Cache.memo_map ~cache:c ~stage:"t" ~key f xs in
   Alcotest.(check int) "warm: no new calls" 50 (Atomic.get calls);
   Alcotest.(check bool) "warm result identical" true (r1 = r2);
   let s = Cache.stats c in
@@ -63,7 +88,7 @@ let memo_map_basic () =
   Alcotest.(check int) "hits" 50 s.Cache.c_hits;
   Alcotest.(check int) "stores" 50 s.Cache.c_stores;
   (* Same raw key under a different stage tag is a different entry. *)
-  let r3 = Cache.memo_map ~cache:c ~jobs:1 ~stage:"u" ~key f xs in
+  let r3 = Cache.memo_map ~cache:c ~stage:"u" ~key f xs in
   Alcotest.(check int) "stage tag separates entries" 100 (Atomic.get calls);
   Alcotest.(check bool) "other-stage result identical" true (r1 = r3)
 
@@ -72,15 +97,15 @@ let clone_isolation () =
   let xs = [ 1; 2; 3 ] in
   let f x = x + 1 in
   let key x = Cache.dval x in
-  ignore (Cache.memo_map ~cache:c ~jobs:1 ~stage:"t" ~key f xs);
+  ignore (Cache.memo_map ~cache:c ~stage:"t" ~key f xs);
   let k = Cache.clone c in
   Alcotest.(check int) "clone stats start at zero" 0 (Cache.stats k).Cache.c_hits;
-  ignore (Cache.memo_map ~cache:k ~jobs:1 ~stage:"t" ~key f xs);
+  ignore (Cache.memo_map ~cache:k ~stage:"t" ~key f xs);
   Alcotest.(check int) "clone serves the copied entries" 3
     (Cache.stats k).Cache.c_hits;
   (* New entries stored into the clone do not leak back. *)
-  ignore (Cache.memo_map ~cache:k ~jobs:1 ~stage:"t" ~key f [ 99 ]);
-  ignore (Cache.memo_map ~cache:c ~jobs:1 ~stage:"t" ~key f [ 99 ]);
+  ignore (Cache.memo_map ~cache:k ~stage:"t" ~key f [ 99 ]);
+  ignore (Cache.memo_map ~cache:c ~stage:"t" ~key f [ 99 ]);
   Alcotest.(check int) "original missed the clone's entry" 4
     (Cache.stats c).Cache.c_misses
 
@@ -106,12 +131,12 @@ let write_file path s =
    damaged entry must be silently evicted (one counted eviction, one
    miss), and everything else must hit. *)
 let damage_case ~what damage =
-  Test_parallel.with_temp_dir (fun dir ->
+  with_temp_dir (fun dir ->
       let bin = spec_bin () in
-      let options = Test_parallel.opts Icfg_core.Mode.Jt in
-      let uncached = Runner.rewrite ~options ~jobs:1 bin in
+      let options = opts Icfg_core.Mode.Jt in
+      let uncached = Runner.rewrite ~options bin in
       let c1 = Cache.create ~dir () in
-      ignore (Runner.rewrite ~options ~jobs:1 ~cache:c1 bin);
+      ignore (Runner.rewrite ~options ~cache:c1 bin);
       let total = (Cache.stats c1).Cache.c_misses in
       let victim =
         match Cache.entry_files c1 with
@@ -120,15 +145,15 @@ let damage_case ~what damage =
       in
       damage victim;
       let c2 = Cache.create ~dir () in
-      let rw = Runner.rewrite ~options ~jobs:1 ~cache:c2 bin in
-      Test_parallel.check_same ~what uncached rw;
+      let rw = Runner.rewrite ~options ~cache:c2 bin in
+      Test_rewriter.check_same ~what uncached rw;
       let s = Cache.stats c2 in
       Alcotest.(check int) (what ^ ": one eviction") 1 s.Cache.c_evict_corrupt;
       Alcotest.(check int) (what ^ ": one miss") 1 s.Cache.c_misses;
       Alcotest.(check int) (what ^ ": rest hits") (total - 1) s.Cache.c_hits;
       (* The miss re-stored a valid entry: a third run is all hits. *)
       let c3 = Cache.create ~dir () in
-      ignore (Runner.rewrite ~options ~jobs:1 ~cache:c3 bin);
+      ignore (Runner.rewrite ~options ~cache:c3 bin);
       Alcotest.(check int) (what ^ ": store healed") 0
         (Cache.stats c3).Cache.c_misses)
 
@@ -180,7 +205,7 @@ let disk_forged_payload () =
    in-memory copies keep serving — and a fresh cache over the directory
    misses exactly the five oldest. *)
 let disk_lru_bound () =
-  Test_parallel.with_temp_dir (fun dir ->
+  with_temp_dir (fun dir ->
       let calls = ref [] in
       let f x =
         calls := x :: !calls;
@@ -189,20 +214,20 @@ let disk_lru_bound () =
       let key x = Cache.dval x in
       let xs = List.init 8 (fun i -> i) in
       let c = Cache.create ~dir ~max_disk_bytes:(3 * 2200) () in
-      ignore (Cache.memo_map ~cache:c ~jobs:1 ~stage:"t" ~key f xs);
+      ignore (Cache.memo_map ~cache:c ~stage:"t" ~key f xs);
       let s = Cache.stats c in
       Alcotest.(check int) "evictions counted" 5 s.Cache.c_evict_lru;
       Alcotest.(check int) "bound holds three disk entries" 3
         (List.length (Cache.entry_files c));
       (* The in-memory tier kept every evicted entry. *)
       calls := [];
-      ignore (Cache.memo_map ~cache:c ~jobs:1 ~stage:"t" ~key f xs);
+      ignore (Cache.memo_map ~cache:c ~stage:"t" ~key f xs);
       Alcotest.(check (list int)) "warm run recomputes nothing" [] !calls;
       Alcotest.(check int) "warm run all hits" 8 (Cache.stats c).Cache.c_hits;
       (* A fresh cache sees only the survivors: the five oldest stores
          lost their files and recompute. *)
       let c2 = Cache.create ~dir () in
-      ignore (Cache.memo_map ~cache:c2 ~jobs:1 ~stage:"t" ~key f xs);
+      ignore (Cache.memo_map ~cache:c2 ~stage:"t" ~key f xs);
       let s2 = Cache.stats c2 in
       Alcotest.(check int) "survivors hit" 3 s2.Cache.c_hits;
       Alcotest.(check int) "evicted miss" 5 s2.Cache.c_misses;
@@ -213,20 +238,20 @@ let disk_lru_bound () =
    pre-existing store are all equally cold, and touching one protects it
    from the next eviction. *)
 let disk_lru_refresh () =
-  Test_parallel.with_temp_dir (fun dir ->
+  with_temp_dir (fun dir ->
       let f x = String.make 2048 (Char.chr (x land 0xff)) in
       let key x = Cache.dval x in
       let seed = Cache.create ~dir () in
-      ignore (Cache.memo_map ~cache:seed ~jobs:1 ~stage:"t" ~key f [ 0; 1; 2 ]);
+      ignore (Cache.memo_map ~cache:seed ~stage:"t" ~key f [ 0; 1; 2 ]);
       let c = Cache.create ~dir ~max_disk_bytes:(3 * 2200) () in
       (* Disk hit on item 0: its tick is now newer than the other seeds. *)
-      ignore (Cache.memo_map ~cache:c ~jobs:1 ~stage:"t" ~key f [ 0 ]);
+      ignore (Cache.memo_map ~cache:c ~stage:"t" ~key f [ 0 ]);
       (* A fourth store overflows the bound; the victim must be one of
          the untouched seeds. *)
-      ignore (Cache.memo_map ~cache:c ~jobs:1 ~stage:"t" ~key f [ 3 ]);
+      ignore (Cache.memo_map ~cache:c ~stage:"t" ~key f [ 3 ]);
       Alcotest.(check int) "one eviction" 1 (Cache.stats c).Cache.c_evict_lru;
       let c2 = Cache.create ~dir () in
-      ignore (Cache.memo_map ~cache:c2 ~jobs:1 ~stage:"t" ~key f [ 0 ]);
+      ignore (Cache.memo_map ~cache:c2 ~stage:"t" ~key f [ 0 ]);
       Alcotest.(check int) "the touched seed survived" 1
         (Cache.stats c2).Cache.c_hits)
 
@@ -240,7 +265,7 @@ let slot_files dir =
     (Array.to_list (Sys.readdir dir))
 
 let slot_battery () =
-  Test_parallel.with_temp_dir (fun dir ->
+  with_temp_dir (fun dir ->
       let c = Cache.create ~dir () in
       Alcotest.(check bool) "absent initially" true
         ((Cache.find_slot c "layout" : int list option) = None);
@@ -278,6 +303,138 @@ let slot_battery () =
         (slot_files dir))
 
 (* ------------------------------------------------------------------ *)
+(* Pipeline: cached == uncached, per-function invalidation             *)
+(* ------------------------------------------------------------------ *)
+
+let check_same = Test_rewriter.check_same
+
+(* Cached rewrites are byte-identical to uncached ones for every mode,
+   cold and warm alike: a cold run misses every entry, and a warm replay
+   through a clone (fresh statistics, shared entries) hits every one. *)
+let cached_equals_uncached () =
+  let bin = spec_bin () in
+  List.iter
+    (fun mode ->
+      let options = opts mode in
+      let what fmt = Printf.sprintf "%s %s" (Mode.name mode) fmt in
+      let uncached = Runner.rewrite ~options bin in
+      let c = Cache.create () in
+      check_same ~what:(what "cold") uncached
+        (Runner.rewrite ~options ~cache:c bin);
+      let cold = Cache.stats c in
+      Alcotest.(check int) (what "cold: no hits") 0 cold.Cache.c_hits;
+      Alcotest.(check bool) (what "cold: misses") true
+        (cold.Cache.c_misses > 0);
+      let wc = Cache.clone c in
+      check_same ~what:(what "warm") uncached
+        (Runner.rewrite ~options ~cache:wc bin);
+      let warm = Cache.stats wc in
+      Alcotest.(check int) (what "warm: no misses") 0 warm.Cache.c_misses;
+      Alcotest.(check int) (what "warm: all hits") cold.Cache.c_misses
+        warm.Cache.c_hits)
+    Mode.all
+
+(* The on-disk tier: a second cache instance over the same directory (a
+   fresh process in real life) serves every per-function artifact from
+   disk — zero misses — and the output stays byte-identical. *)
+let disk_round_trip () =
+  let bin = spec_bin () in
+  let options = opts Mode.Jt in
+  let uncached = Runner.rewrite ~options bin in
+  with_temp_dir (fun dir ->
+      let c1 = Cache.create ~dir () in
+      check_same ~what:"disk cold" uncached
+        (Runner.rewrite ~options ~cache:c1 bin);
+      Alcotest.(check bool) "entries on disk" true (Cache.entry_files c1 <> []);
+      let c2 = Cache.create ~dir () in
+      check_same ~what:"disk warm" uncached
+        (Runner.rewrite ~options ~cache:c2 bin);
+      let s = Cache.stats c2 in
+      Alcotest.(check int) "disk warm: no misses" 0 s.Cache.c_misses;
+      Alcotest.(check int) "disk warm: all hits" (Cache.stats c1).Cache.c_misses
+        s.Cache.c_hits;
+      Alcotest.(check bool) "disk warm: bytes reused" true
+        (s.Cache.c_bytes_reused > 0))
+
+(* Warm the cache on [bin], apply [perturb] to its parse, and rewrite the
+   edited binary through a clone of the warm cache under a trace: the
+   output must match the edited binary's uncached rewrite; returns the
+   trace's counter lookup for the stage-level assertions. *)
+let warm_edit ~what perturb =
+  let bin = spec_bin () in
+  let options = opts Mode.Jt in
+  let warm = Cache.create () in
+  ignore (Runner.rewrite ~options ~cache:warm bin);
+  match perturb (Runner.parse bin) with
+  | None -> Alcotest.failf "no %s site in the spec binary" what
+  | Some (pbin, name) ->
+      let uncached = Runner.rewrite ~options pbin in
+      let t = Trace.create () in
+      let rw =
+        Trace.with_current t (fun () ->
+            Runner.rewrite ~options ~cache:(Cache.clone warm) pbin)
+      in
+      check_same ~what:(Printf.sprintf "%s %s" what name) uncached rw;
+      ( (fun n -> Option.value ~default:0 (Trace.find_counter t n)),
+        Cache.stats warm )
+
+let per_function_stages =
+  [
+    "parse/pass1"; "parse/fptr"; "parse/finalize"; "parse/fptr2";
+    "rewrite/relocate"; "rewrite/plan";
+  ]
+
+(* Perturbing one function's bytes invalidates exactly that function's
+   entries: each per-function stage misses once and everything else
+   hits. Encode chunks under a cache are per-function, and the pinned
+   layout re-places the (same-length) perturbed function back into its
+   old slot, so exactly the perturbed function's chunk re-encodes. *)
+let per_function_invalidation () =
+  let get, cold = warm_edit ~what:"perturbed" Runner.perturb_function in
+  List.iter
+    (fun stage ->
+      Alcotest.(check int) ("one miss in " ^ stage) 1
+        (get ("cache.miss:" ^ stage)))
+    per_function_stages;
+  Alcotest.(check int) "exactly one encode miss" 1 (get "cache.miss:encode");
+  Alcotest.(check int) "hits + misses = cold misses" cold.Cache.c_misses
+    (get "cache.hit" + get "cache.miss")
+
+(* A data-only edit — one byte flipped in a loaded data section,
+   validated to leave the parsed analysis identical — keeps every
+   text-stage entry warm: with piecewise context digests only
+   [parse/finalize] (the one stage dereferencing data words) may miss. *)
+let data_only_edit () =
+  let get, _ = warm_edit ~what:"data edit in" Runner.perturb_data in
+  List.iter
+    (fun stage ->
+      Alcotest.(check int) ("zero misses in " ^ stage) 0
+        (get ("cache.miss:" ^ stage)))
+    [
+      "parse/pass1"; "parse/fptr"; "parse/fptr2"; "rewrite/relocate";
+      "rewrite/plan"; "encode";
+    ];
+  Alcotest.(check bool) "finalize recomputed" true
+    (get "cache.miss:parse/finalize" > 0);
+  Alcotest.(check int) "every miss is a finalize miss" (get "cache.miss")
+    (get "cache.miss:parse/finalize")
+
+(* Renaming one function symbol costs exactly that function's own
+   entries: symbol names are digested namelessly in every cross-function
+   key and relocated-block labels are address-namespaced, so each
+   per-function stage misses once for the renamed function — and encode
+   misses zero chunks, because the pinned layout keeps every address and
+   no chunk's items or resolved labels change. *)
+let one_symbol_edit () =
+  let get, _ = warm_edit ~what:"renamed" Runner.perturb_symbol in
+  List.iter
+    (fun stage ->
+      Alcotest.(check int) ("one miss in " ^ stage) 1
+        (get ("cache.miss:" ^ stage)))
+    per_function_stages;
+  Alcotest.(check int) "zero encode misses" 0 (get "cache.miss:encode")
+
+(* ------------------------------------------------------------------ *)
 (* Cross-request reuse through the serve daemon                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -306,21 +463,20 @@ let serve_twin_hits () =
   in
   let src_bin = Corpus.build (List.nth entries src_id) in
   let twin_bin = Corpus.build twin_entry in
-  Test_serve.with_server ~workers:1 () @@ fun _srv path ->
+  (* The twin is byte-identical to the source, so a default daemon would
+     answer it from the whole-response memo without running anything —
+     correct service behavior, but this test pins the *stage* cache. A
+     one-byte memo bound stores no response, forcing a real pipeline run
+     over the shared cache. *)
+  Test_serve.with_server ~workers:1 ~memo_bytes:1 () @@ fun _srv path ->
   Client.with_connection path @@ fun c ->
   let c_src =
     rewritten_counters ~what:"source request"
       (Client.rewrite c ~approach:"ours/jt" src_bin)
   in
-  (* The twin is byte-identical to the source, so at equal jobs the
-     daemon would answer it from the whole-response memo without running
-     anything — correct service behavior, but this test pins the *stage*
-     cache. jobs=2 changes the memo key (never the counters: totals are
-     jobs-independent), forcing a real pipeline run over the shared
-     cache. *)
   let c_twin =
     rewritten_counters ~what:"twin request"
-      (Client.rewrite c ~approach:"ours/jt" ~jobs:2 twin_bin)
+      (Client.rewrite c ~approach:"ours/jt" twin_bin)
   in
   let get l n = Option.value ~default:0 (List.assoc_opt n l) in
   Alcotest.(check bool) "source request ran cold" true
@@ -345,7 +501,7 @@ let serve_twin_hits () =
    when the dust settles the entry tier is within the bound with the
    evictions counted — no request ever saw an error. *)
 let serve_lru_eviction () =
-  Test_parallel.with_temp_dir @@ fun dir ->
+  with_temp_dir @@ fun dir ->
   let bound = 64 * 1024 in
   let cache = Cache.create ~dir ~max_disk_bytes:bound () in
   let bins =
@@ -388,7 +544,7 @@ let suite =
     ( "cache",
       [
         Alcotest.test_case "key injectivity" `Quick key_injectivity;
-        Alcotest.test_case "memo_map: no cache = Pool.map" `Quick
+        Alcotest.test_case "memo_map: no cache = List.map" `Quick
           memo_map_no_cache;
         Alcotest.test_case "memo_map: basic hit/miss/stage" `Quick
           memo_map_basic;
@@ -402,6 +558,15 @@ let suite =
         Alcotest.test_case "disk: LRU hit refresh" `Quick disk_lru_refresh;
         Alcotest.test_case "slots: round-trip, clone, corruption" `Quick
           slot_battery;
+        Alcotest.test_case "cached = uncached, cold and warm" `Quick
+          cached_equals_uncached;
+        Alcotest.test_case "disk tier round-trip" `Quick disk_round_trip;
+        Alcotest.test_case "per-function invalidation" `Quick
+          per_function_invalidation;
+        Alcotest.test_case "data-only edit keeps text stages warm" `Quick
+          data_only_edit;
+        Alcotest.test_case "one-symbol edit is function-local" `Quick
+          one_symbol_edit;
         Alcotest.test_case "serve: twin cross-request all-hits" `Slow
           serve_twin_hits;
         Alcotest.test_case "serve: LRU bound under in-flight requests" `Quick

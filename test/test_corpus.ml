@@ -8,19 +8,18 @@
       produce distinct corpora.
 
    2. Corpus binaries are deterministic artifacts: building an entry
-      yields byte-identical binaries no matter how the builds are
-      scheduled across a [Pool], and a twin entry builds byte-identical
-      to its source (the corpus-level cache-hit fodder).
+      yields byte-identical binaries no matter in which order the entries
+      are built, and a twin entry builds byte-identical to its source
+      (the corpus-level cache-hit fodder).
 
    3. [Matrix.run] classification is deterministic: the same seed gives
-      identical rows and identical shared-cache statistics for every
-      [jobs] value — only wall times may differ — and the per-row counts
+      identical rows and identical shared-cache statistics on every run
+      — only wall times may differ — and the per-row counts
       tile ([verified + diverged + refused + crashed = cells], refusal
       histograms sum to [refused]). *)
 
 module Corpus = Icfg_workloads.Corpus
 module Matrix = Icfg_harness.Matrix
-module Pool = Icfg_core.Pool
 module Cache = Icfg_core.Cache
 
 (* ------------------------------------------------------------------ *)
@@ -62,17 +61,16 @@ let distinct_seeds =
 (* 2. Built binaries are deterministic artifacts                       *)
 (* ------------------------------------------------------------------ *)
 
-let digest_jobs_independent =
+let digest_order_independent =
   QCheck2.Test.make ~count:4
-    ~name:"corpus: build digests independent of the pool schedule"
+    ~name:"corpus: build digests independent of the build order"
     QCheck2.Gen.(int_range 1 100_000)
     (fun seed ->
       let entries = Corpus.generate ~seed ~count:8 in
-      let serial = List.map (fun e -> Corpus.digest (Corpus.build e)) entries in
-      let pooled =
-        Pool.map ~jobs:3 (fun e -> Corpus.digest (Corpus.build e)) entries
-      in
-      serial = pooled)
+      let digest e = Corpus.digest (Corpus.build e) in
+      let forward = List.map digest entries in
+      let backward = List.rev (List.map digest (List.rev entries)) in
+      forward = backward)
 
 let test_twins_build_identical () =
   let entries = Corpus.generate ~seed:7 ~count:30 in
@@ -134,9 +132,9 @@ let test_matrix_smoke_and_determinism () =
        -. float_of_int s.Cache.c_hits
           /. float_of_int (s.Cache.c_hits + s.Cache.c_misses))
     < 1e-9);
-  let m2 = Matrix.run ~seed:11 ~count:8 ~jobs:3 () in
+  let m2 = Matrix.run ~seed:11 ~count:8 () in
   Alcotest.(check bool)
-    "classification and cache stats identical across jobs" true
+    "classification and cache stats identical across runs" true
     (strip m1 = strip m2)
 
 let test_hit_rate () =
@@ -180,7 +178,7 @@ let suite =
           test_generate_deterministic_and_prefix;
         Alcotest.test_case "shape coverage" `Quick test_shape_coverage;
         QCheck_alcotest.to_alcotest distinct_seeds;
-        QCheck_alcotest.to_alcotest digest_jobs_independent;
+        QCheck_alcotest.to_alcotest digest_order_independent;
         Alcotest.test_case "twins build identical" `Quick
           test_twins_build_identical;
         Alcotest.test_case "matrix smoke + determinism" `Slow

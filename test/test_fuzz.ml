@@ -45,22 +45,17 @@ let spec_gen =
 
 (* Go-flavoured cases ride along with conservative settings: Go binaries
    are PIE, vtable dispatch needs at least [Jt] coverage, and the runtime
-   hooks make the count-check meaningless, so those run output-only.
-
-   jobs > 1 shards parsing, function-pointer scans, relocation, placement
-   planning and section encoding; 3 is deliberately not a power of two so
-   the chunked encoder's uneven contiguous splits (chunks = 4*jobs) get
-   fuzzed too. *)
+   hooks make the count-check meaningless, so those run output-only. *)
 let config_gen =
   QCheck2.Gen.(
     pair
       (quad (oneofl Arch.all) (oneofl Mode.all) bool (* pie *)
          (oneofl [ `Original; `Reverse_funcs; `Reverse_blocks ]))
-      (pair (oneofl [ 1; 2; 3; 4; 8 ]) (frequency [ (4, return false); (1, return true) ])))
+      (frequency [ (4, return false); (1, return true) ]))
 
-let print_case (spec, ((arch, mode, pie, order), (jobs, go))) =
+let print_case (spec, ((arch, mode, pie, order), go)) =
   Printf.sprintf
-    "seed=%d sw=%d disp=%d spill=%d fl=%d dt=%d exc=%b %s/%s%s%s jobs=%d%s"
+    "seed=%d sw=%d disp=%d spill=%d fl=%d dt=%d exc=%b %s/%s%s%s%s"
     spec.Gen.seed spec.Gen.n_switch spec.Gen.n_dispatch spec.Gen.n_hard_spill
     spec.Gen.n_frameless_tail spec.Gen.n_data_table spec.Gen.exceptions
     (Arch.name arch) (Mode.name mode)
@@ -69,14 +64,13 @@ let print_case (spec, ((arch, mode, pie, order), (jobs, go))) =
     | `Original -> ""
     | `Reverse_funcs -> " rev-funcs"
     | `Reverse_blocks -> " rev-blocks")
-    jobs
     (if go then " go" else "")
 
 let rewrite_roundtrip =
   QCheck2.Test.make ~count:60 ~name:"fuzz: rewrite preserves behaviour"
     ~print:print_case
     QCheck2.Gen.(pair spec_gen config_gen)
-    (fun (spec, ((arch, mode, pie, order), (jobs, go))) ->
+    (fun (spec, ((arch, mode, pie, order), go)) ->
       (* conservative Go constraints; see comment on [config_gen] *)
       let pie = pie || go in
       let mode = if go && mode = Mode.Func_ptr then Mode.Jt else mode in
@@ -99,11 +93,6 @@ let rewrite_roundtrip =
         { Rewriter.default_options with Rewriter.mode; payload; order }
       in
       let rw = Rewriter.rewrite ~options parse in
-      (* the sharded engine must reproduce the serial bytes exactly *)
-      if jobs > 1 then
-        assert (
-          Test_parallel.equal_rewrite rw
-            (Icfg_harness.Runner.rewrite ~options ~jobs bin));
       let lb = if pie then 0x20000000 else 0 in
       let base_cfg = { (Vm.default_config ()) with Vm.load_base = lb } in
       (* ground-truth profile *)
@@ -153,20 +142,15 @@ let rewrite_roundtrip =
 let go_roundtrip =
   QCheck2.Test.make ~count:20 ~name:"fuzz: go rewriting preserves tracebacks"
     QCheck2.Gen.(
-      quad (int_range 1 10_000) (oneofl Arch.all)
-        (oneofl [ Mode.Dir; Mode.Jt ])
-        (oneofl [ 1; 4 ]))
-    (fun (seed, arch, mode, jobs) ->
+      triple (int_range 1 10_000) (oneofl Arch.all)
+        (oneofl [ Mode.Dir; Mode.Jt ]))
+    (fun (seed, arch, mode) ->
       let adjust = if arch = Arch.X86_64 then 1 else 4 in
       let spec = Gen.go_spec ~seed ~name:(Printf.sprintf "gofuzz%d" seed) ~iters:5 in
       let prog = Gen.build_go ~vtab_check:false ~goexit_adjust:adjust spec in
       let bin, _ = Icfg_codegen.Compile.compile ~pie:true arch prog in
       let options = { Rewriter.default_options with Rewriter.mode } in
-      let rw = Icfg_harness.Runner.rewrite ~options ~jobs bin in
-      assert (
-        jobs = 1
-        || Test_parallel.equal_rewrite rw
-             (Rewriter.rewrite ~options (Parse.parse bin)));
+      let rw = Icfg_harness.Runner.rewrite ~options bin in
       let base_cfg = { (Vm.default_config ()) with Vm.load_base = 0x20000000 } in
       let orig =
         Vm.run ~config:base_cfg ~routines:(Icfg_runtime.Runtime_lib.standard ()) bin

@@ -5,7 +5,7 @@
 open Icfg_isa
 module E = Icfg_harness.Experiments
 module Runner = Icfg_harness.Runner
-module Stats = Icfg_harness.Stats
+module Stats = Icfg_core.Stats
 module Baseline = Icfg_baselines.Baseline
 
 (* ------------------------------------------------------------------ *)

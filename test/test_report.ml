@@ -3,13 +3,14 @@
    Contracts under test:
 
    1. Attribution exactly tiles [Rewriter.stats]: the per-cause totals sum
-      to the aggregate counters for every mode, failure model and jobs
-      value — no site is double-counted or dropped.
+      to the aggregate counters for every mode and failure model — no site
+      is double-counted or dropped.
 
    2. Attribution is observation-only and schedule-independent: the record
-      is structurally identical for any [jobs] value, and the rewritten
-      bytes and stats are unchanged by its presence (it is assembled from
-      the serialized placement plans, never the other way around).
+      is structurally identical whether the placement plans were computed
+      or served from a cold or warm cache, and the rewritten bytes and
+      stats are unchanged by its presence (it is assembled from the
+      serialized placement plans, never the other way around).
 
    3. Injected graded failures (section 4.3) surface as their specific
       cause: [Bound_over] -> [Jt_bound_over], [Bound_under] ->
@@ -17,8 +18,8 @@
 
    4. The bench regression gate ([Bench_diff]) classifies differences per
       its policy: worse-is-higher counter increases and lost rows gate,
-      time growth gates only under --gate with matching core counts,
-      lane rows and new rows never gate.
+      time growth gates only under --gate with matching core counts, new
+      rows never gate.
 
    5. Failure-path observability: [Trace.with_file] writes the trace even
       when the traced function raises, and [Verify.strong_test] returns a
@@ -103,13 +104,10 @@ let reconciliation () =
     (fun (fm, fm_name) ->
       List.iter
         (fun mode ->
-          List.iter
-            (fun jobs ->
-              let rw = Runner.rewrite ~fm ~options:(opts mode) ~jobs bin in
-              check_reconciles
-                (Printf.sprintf "%s/%s/jobs=%d" fm_name (Mode.name mode) jobs)
-                rw)
-            [ 1; 4 ])
+          let rw = Runner.rewrite ~fm ~options:(opts mode) bin in
+          check_reconciles
+            (Printf.sprintf "%s/%s" fm_name (Mode.name mode))
+            rw)
         modes)
     [ (Failure_model.ours, "ours"); (Failure_model.srbi, "srbi") ]
 
@@ -131,26 +129,32 @@ let reconciliation_srbi_like () =
 let section_image (s : Section.t) =
   (s.Section.name, s.Section.vaddr, Bytes.to_string s.Section.data)
 
+(* Cold and warm cached rewrites take their placement plans from
+   different places (computed vs unmarshalled), so the attribution they
+   assemble must still match the uncached run exactly. *)
 let attribution_schedule_independent () =
   let bin = first_bench Arch.X86_64 in
   List.iter
     (fun mode ->
-      let base = Runner.rewrite ~options:(opts mode) ~jobs:1 bin in
+      let base = Runner.rewrite ~options:(opts mode) bin in
+      let cache = Cache.create () in
+      let cold = Runner.rewrite ~options:(opts mode) ~cache bin in
+      let warm =
+        Runner.rewrite ~options:(opts mode) ~cache:(Cache.clone cache) bin
+      in
       List.iter
-        (fun jobs ->
-          let rw = Runner.rewrite ~options:(opts mode) ~jobs bin in
+        (fun (what, rw) ->
           Alcotest.(check bool)
-            (Printf.sprintf "%s: attribution identical, jobs=%d"
-               (Mode.name mode) jobs)
+            (Printf.sprintf "%s: attribution identical, %s" (Mode.name mode)
+               what)
             true
             (rw.Rewriter.rw_attribution = base.Rewriter.rw_attribution);
           Alcotest.(check bool)
-            (Printf.sprintf "%s: bytes identical, jobs=%d" (Mode.name mode)
-               jobs)
+            (Printf.sprintf "%s: bytes identical, %s" (Mode.name mode) what)
             true
             (List.map section_image rw.Rewriter.rw_binary.Binary.sections
             = List.map section_image base.Rewriter.rw_binary.Binary.sections))
-        [ 2; 4 ])
+        [ ("cold cache", cold); ("warm cache", warm) ])
     modes
 
 let mode_monotone () =
@@ -298,11 +302,11 @@ let doc ?(cores = 1) ?(micro = []) ?(stages = []) ?(cache = []) ?(corpus = [])
   let stages_json =
     String.concat ", "
       (List.map
-         (fun (stage, jobs, ns, counters) ->
+         (fun (stage, ns, counters) ->
            Printf.sprintf
-             "{\"stage\": \"%s\", \"jobs\": %d, \"spans\": 1, \"ns\": %d, \
-              \"counters\": {%s}}"
-             stage jobs ns (counters_json counters))
+             "{\"stage\": \"%s\", \"spans\": 1, \"ns\": %d, \"counters\": \
+              {%s}}"
+             stage ns (counters_json counters))
          stages)
   in
   let cache_json =
@@ -326,7 +330,7 @@ let doc ?(cores = 1) ?(micro = []) ?(stages = []) ?(cache = []) ?(corpus = [])
   in
   Printf.sprintf
     "{\"schema\": \"icfg-bench-micro/1\", \"cores\": %d, \"micro\": [%s], \
-     \"parallel\": [], \"stages\": [%s], \"cache\": [%s], \"corpus\": [%s]}"
+     \"stages\": [%s], \"cache\": [%s], \"corpus\": [%s]}"
     cores micro_json stages_json cache_json corpus_json
 
 let diff_ok ?gate old_s new_s =
@@ -363,7 +367,7 @@ let bench_diff_self () =
   let d =
     doc
       ~micro:[ ("parse", 100.) ]
-      ~stages:[ ("rewrite", 1, 500, [ ("rewrite/trampolines:trap", 3) ]) ]
+      ~stages:[ ("rewrite", 500, [ ("rewrite/trampolines:trap", 3) ]) ]
       ()
   in
   Alcotest.(check int) "self-diff is clean" 0
@@ -375,7 +379,6 @@ let bench_diff_counters () =
       ~stages:
         [
           ( "rewrite",
-            1,
             500,
             [ ("rewrite/blocks", blocks); ("rewrite/trampolines:trap", trap) ]
           );
@@ -410,18 +413,15 @@ let bench_diff_times () =
 
 let bench_diff_rows () =
   let with_rows stages = doc ~stages () in
-  let both = with_rows [ ("rewrite", 1, 500, []); ("rewrite/lane-0", 1, 20, []) ] in
+  let both = with_rows [ ("rewrite", 500, []); ("rewrite/relocate", 20, []) ] in
   Alcotest.(check bool) "lost row is a regression" true
     (Bench_diff.has_regression
-       (diff_ok both (with_rows [ ("rewrite/lane-0", 1, 20, []) ])));
-  Alcotest.(check bool) "lost lane row is informational" false
-    (Bench_diff.has_regression
-       (diff_ok both (with_rows [ ("rewrite", 1, 500, []) ])));
+       (diff_ok both (with_rows [ ("rewrite/relocate", 20, []) ])));
   Alcotest.(check bool) "new row is informational" false
     (Bench_diff.has_regression
        (diff_ok
-          (with_rows [ ("rewrite", 1, 500, []) ])
-          (with_rows [ ("rewrite", 1, 500, []); ("emit", 1, 9, []) ])))
+          (with_rows [ ("rewrite", 500, []) ])
+          (with_rows [ ("rewrite", 500, []); ("emit", 9, []) ])))
 
 (* The added-row policy: anything only the NEW run knows about is reported
    with the distinct [Added] severity and never gates — landing new bench
@@ -443,10 +443,10 @@ let bench_diff_added () =
      worse-is-higher counter name, since there is nothing to compare. *)
   let f =
     diff_ok ~gate:50.
-      (doc ~stages:[ ("rewrite", 1, 500, []) ] ())
+      (doc ~stages:[ ("rewrite", 500, []) ] ())
       (doc
          ~stages:
-           [ ("rewrite", 1, 500, [ ("cache.evict_corrupt", 2 ) ]) ]
+           [ ("rewrite", 500, [ ("cache.evict_corrupt", 2 ) ]) ]
          ())
   in
   Alcotest.(check int) "new counter is Added" 1 (List.length (added f));

@@ -630,6 +630,80 @@ let test_no_overwrite_mode () =
       check_roundtrip (Arch.name arch ^ "/no-overwrite") rt)
     Arch.all
 
+(* ------------------------------------------------------------------ *)
+(* Structural comparison of two rewrites                               *)
+(* ------------------------------------------------------------------ *)
+
+let sorted_tbl tbl =
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+(* Everything observable about a rewrite except [rw_relocated_entry]
+   (a closure; its behaviour is pinned by the trap map and RA map). *)
+let fingerprint (rw : Rewriter.t) =
+  let bin = rw.Rewriter.rw_binary in
+  let section_image (s : Icfg_obj.Section.t) =
+    ( s.Icfg_obj.Section.name,
+      s.Icfg_obj.Section.vaddr,
+      Bytes.to_string s.Icfg_obj.Section.data,
+      s.Icfg_obj.Section.perm,
+      s.Icfg_obj.Section.loaded )
+  in
+  ( List.map section_image bin.Binary.sections,
+    (bin.Binary.entry, bin.Binary.pie, bin.Binary.relocs, bin.Binary.symbols),
+    rw.Rewriter.rw_stats,
+    Runtime_lib.Ra_map.pairs rw.Rewriter.rw_ra_map,
+    ( sorted_tbl rw.Rewriter.rw_trap_map,
+      sorted_tbl rw.Rewriter.rw_counter_of_site,
+      sorted_tbl rw.Rewriter.rw_dt_sites,
+      rw.Rewriter.rw_go_hook,
+      rw.Rewriter.rw_translate_hook ) )
+
+(* Describe the first difference; "" when identical. *)
+let diff_rewrite a b =
+  let sa, ba, sta, ra, ma = fingerprint a in
+  let sb, bb, stb, rb, mb = fingerprint b in
+  if sa <> sb then
+    match
+      List.find_opt
+        (fun (x, y) -> x <> y)
+        (try List.combine sa sb with Invalid_argument _ -> [])
+    with
+    | Some ((n, v, _, _, _), _) -> Printf.sprintf "section %s@0x%x differs" n v
+    | None -> "section lists differ in length"
+  else if ba <> bb then "binary header/relocs/symbols differ"
+  else if sta <> stb then "stats differ"
+  else if ra <> rb then "RA maps differ"
+  else if ma <> mb then "runtime maps differ"
+  else ""
+
+let check_same ~what expected actual =
+  Alcotest.(check string) what "" (diff_rewrite expected actual)
+
+(* Go binaries (runtime hooks + vtable paths): a rewrite is a pure
+   function of its input — repeated uncached rewrites, a cold cached
+   rewrite and a warm replay all agree structurally. *)
+let test_go_binaries_deterministic () =
+  List.iter
+    (fun arch ->
+      let adjust = if arch = Arch.X86_64 then 1 else 4 in
+      let spec =
+        Icfg_workloads.Gen.go_spec ~seed:7 ~name:"gobattery" ~iters:5
+      in
+      let prog =
+        Icfg_workloads.Gen.build_go ~vtab_check:false ~goexit_adjust:adjust spec
+      in
+      let bin, _ = Compile.compile ~pie:true arch prog in
+      let options = counting_options Mode.Jt in
+      let rewrite = Icfg_harness.Runner.rewrite ~options in
+      let what fmt = Printf.sprintf "go/%s %s" (Arch.name arch) fmt in
+      let uncached = rewrite bin in
+      check_same ~what:(what "repeat") uncached (rewrite bin);
+      let cache = Cache.create () in
+      check_same ~what:(what "cold cache") uncached (rewrite ~cache bin);
+      check_same ~what:(what "warm cache") uncached
+        (rewrite ~cache:(Cache.clone cache) bin))
+    Arch.all
+
 let suite =
   [
     ( "rewriter:modes",
@@ -649,6 +723,8 @@ let suite =
           test_exceptions_without_ra_translation_fail;
         Alcotest.test_case "call emulation supports exceptions" `Quick
           test_call_emulation_supports_exceptions;
+        Alcotest.test_case "go binaries: deterministic, cache-transparent"
+          `Quick test_go_binaries_deterministic;
       ] );
     ( "rewriter:baseline-config",
       [ Alcotest.test_case "srbi matrix" `Quick test_srbi_matrix ] );

@@ -7,7 +7,7 @@
        mode x ISA;
    (b) determinism — concurrent clients submitting a fixed corpus slice
        get identical per-request classifications regardless of client
-       count, arrival interleaving, and jobs;
+       count and arrival interleaving;
    (c) backpressure — a queue bound of K with K+M in-flight requests
        yields exactly M typed Overloaded refusals and zero crashes, and
        the daemon keeps serving afterwards;
@@ -33,7 +33,7 @@ module Flight = Icfg_service.Flight
 
 let sock_counter = ref 0
 
-let with_server ?bound ?workers ?jobs ?cache ?flight ?max_frame ?store_bytes
+let with_server ?bound ?workers ?cache ?flight ?max_frame ?store_bytes
     ?memo_bytes () f =
   incr sock_counter;
   let path =
@@ -42,8 +42,8 @@ let with_server ?bound ?workers ?jobs ?cache ?flight ?max_frame ?store_bytes
       (Printf.sprintf "icfg-test-%d-%d.sock" (Unix.getpid ()) !sock_counter)
   in
   let srv =
-    Server.start ~path ?bound ?workers ?jobs ?cache ?flight ?max_frame
-      ?store_bytes ?memo_bytes ()
+    Server.start ~path ?bound ?workers ?cache ?flight ?max_frame ?store_bytes
+      ?memo_bytes ()
   in
   Fun.protect ~finally:(fun () -> Server.stop srv) (fun () -> f srv path)
 
@@ -72,24 +72,36 @@ let response_label = function
 (* Protocol codec round-trips                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* A well-formed Classify payload of the previous wire version, whose
+   body carried a per-request [u32 jobs] after the approach: the current
+   daemon must refuse it by its magic rather than misread the body. *)
+let isrv1_classify =
+  let u32 n = String.init 4 (fun i -> Char.chr ((n lsr (8 * i)) land 0xff)) in
+  let str s = u32 (String.length s) ^ s in
+  "isrv1\x03" ^ str "ours/jt" ^ u32 8 ^ "\x00" ^ str "container bytes"
+
 let codec_roundtrip () =
   let reqs =
     [
       Protocol.Ping;
       Protocol.Rewrite
-        { approach = "ours/jt"; jobs = 4; payload = Protocol.Full "\x00\xffbin" };
+        {
+          approach = "ours/jt";
+          reserved = 0;
+          payload = Protocol.Full "\x00\xffbin";
+        };
       Protocol.Classify
-        { approach = "srbi"; jobs = 0; payload = Protocol.Full "" };
+        { approach = "srbi"; reserved = 0; payload = Protocol.Full "" };
       Protocol.Rewrite
         {
           approach = "ours/dir";
-          jobs = 1;
+          reserved = 0;
           payload = Protocol.Ref (String.make 32 'a');
         };
       Protocol.Classify
         {
           approach = "ours/jt";
-          jobs = 2;
+          reserved = 7;
           payload =
             Protocol.Patch
               {
@@ -101,7 +113,7 @@ let codec_roundtrip () =
       Protocol.Rewrite
         {
           approach = "x";
-          jobs = 0;
+          reserved = 0;
           payload = Protocol.Patch { base = ""; total_len = 0; ranges = [] };
         };
       Protocol.Register { bin = "container bytes" };
@@ -174,13 +186,20 @@ let codec_roundtrip () =
       match Protocol.request_of_payload p with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "garbage accepted as request")
-    [ ""; "bogus"; "isrv1"; "isrv1\xff"; "isrv1\x02\x04\x00\x00\x00ab" ];
+    [
+      "";
+      "bogus";
+      "isrv2";
+      "isrv2\xff";
+      "isrv2\x02\x04\x00\x00\x00ab";
+      isrv1_classify;
+    ];
   (* A payload kind byte the grammar doesn't know decodes to Error, not a
      crash: corrupt the kind byte of an otherwise valid Rewrite frame. *)
   (let p =
      Protocol.request_to_payload
        (Protocol.Rewrite
-          { approach = "x"; jobs = 1; payload = Protocol.Full "y" })
+          { approach = "x"; reserved = 0; payload = Protocol.Full "y" })
    in
    let b = Bytes.of_string p in
    let kind_pos = String.length Protocol.magic + 1 + (4 + 1) + 4 in
@@ -270,7 +289,7 @@ let response_equivalence () =
           let rw =
             Runner.rewrite
               ~options:{ Rewriter.default_options with Rewriter.mode }
-              ~jobs:1 bin
+              bin
           in
           let oneshot_bytes =
             Bytes.to_string (Binfile.to_bytes rw.Rewriter.rw_binary)
@@ -283,16 +302,16 @@ let response_equivalence () =
     Arch.all
 
 (* ------------------------------------------------------------------ *)
-(* (b) determinism under concurrent clients / jobs                     *)
+(* (b) determinism under concurrent clients                            *)
 (* ------------------------------------------------------------------ *)
 
 let strip (r : Matrix.row) = { r with Matrix.row_p50_ns = 0.; row_p95_ns = 0. }
 
 let concurrent_determinism () =
   let seed = 11 and count = 6 in
-  let d1 = Sweep.run ~seed ~count ~clients:1 ~jobs:1 () in
-  let d4 = Sweep.run ~seed ~count ~clients:4 ~jobs:2 () in
-  let m = Matrix.run ~seed ~count ~jobs:1 () in
+  let d1 = Sweep.run ~seed ~count ~clients:1 () in
+  let d4 = Sweep.run ~seed ~count ~clients:4 () in
+  let m = Matrix.run ~seed ~count () in
   Alcotest.(check int) "no transport errors (serial)" 0 d1.Sweep.sw_errors;
   Alcotest.(check int) "no transport errors (concurrent)" 0 d4.Sweep.sw_errors;
   Alcotest.(check int) "no refusals (serial)" 0 d1.Sweep.sw_overloaded;
@@ -383,7 +402,7 @@ let solo_counters bin =
   let tr = Trace.create () in
   let cache = Cache.create () in
   Trace.with_current tr (fun () ->
-      ignore (Runner.drive ~approach:"ours/jt" ~jobs:1 ~cache bin));
+      ignore (Runner.drive ~approach:"ours/jt" ~cache bin));
   Trace.counters tr
 
 let isolation () =
@@ -400,7 +419,7 @@ let isolation () =
     Thread.create
       (fun () ->
         Client.with_connection path @@ fun c ->
-        match Client.rewrite c ~approach:"ours/jt" ~jobs:1 bin with
+        match Client.rewrite c ~approach:"ours/jt" bin with
         | Ok (Protocol.Rewritten { counters; _ }) -> got.(i) <- counters
         | r ->
             Alcotest.failf "request %d: %s" i
@@ -432,7 +451,7 @@ let crash_containment () =
      in-process, so this test fails loudly if the corpus shifts. *)
   let entries = Corpus.generate ~seed:7 ~count:9 in
   let crasher = Corpus.build (List.nth entries 8) in
-  (match Runner.drive ~approach:"insn-patching" ~jobs:1 crasher with
+  (match Runner.drive ~approach:"insn-patching" crasher with
   | exception _ -> ()
   | _ -> Alcotest.fail "expected insn-patching to raise on c0008-huge-jt");
   with_server ~workers:1 () @@ fun srv path ->
@@ -461,7 +480,7 @@ let crash_containment () =
        (Protocol.Rewrite
           {
             approach = "ours/jt";
-            jobs = 1;
+            reserved = 0;
             payload = Protocol.Full "not a binfile";
           })
    with
@@ -478,22 +497,38 @@ let crash_containment () =
   let st = Server.stats srv in
   Alcotest.(check bool) "errors were counted" true (st.Server.errors >= 3)
 
-(* A garbage *frame* (valid length prefix, junk payload) gets a typed
-   error response and the connection keeps working. *)
+(* A garbage *frame* (valid length prefix, junk payload) or a frame of
+   an older wire version gets a typed error response naming the cause,
+   and the connection keeps working. *)
 let malformed_frame () =
   let bin = first_bench Arch.X86_64 in
   with_server ~workers:1 () @@ fun _srv path ->
   let c = Client.connect path in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   let fd = Client.fd c in
-  Protocol.write_frame fd "complete nonsense";
-  (match Protocol.read_frame fd with
-  | Some p -> (
-      match Protocol.response_of_payload p with
-      | Ok (Protocol.Error _) -> ()
-      | Ok r -> Alcotest.failf "garbage frame: %s" (response_label r)
-      | Error m -> Alcotest.failf "garbage frame: bad response: %s" m)
-  | None -> Alcotest.fail "server closed connection on garbage frame");
+  List.iter
+    (fun (what, frame, cause) ->
+      Protocol.write_frame fd frame;
+      (match Protocol.read_frame fd with
+      | Some p -> (
+          match Protocol.response_of_payload p with
+          | Ok (Protocol.Error { message; _ }) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: error names %S (%s)" what cause message)
+                true
+                (astr_contains message cause)
+          | Ok r -> Alcotest.failf "%s: %s" what (response_label r)
+          | Error m -> Alcotest.failf "%s: bad response: %s" what m)
+      | None -> Alcotest.failf "server closed connection on %s" what);
+      match Client.call c Protocol.Ping with
+      | Ok Protocol.Pong -> ()
+      | r ->
+          Alcotest.failf "no Pong after %s: %s" what
+            (match r with Ok x -> response_label x | Error m -> m))
+    [
+      ("garbage frame", "complete nonsense", "malformed request");
+      ("isrv1 classify frame", isrv1_classify, "bad magic");
+    ];
   match Client.rewrite c ~approach:"ours/jt" bin with
   | Ok (Protocol.Rewritten _) -> ()
   | r ->
@@ -525,7 +560,7 @@ let counter snap name =
 let stats_totals () =
   let bin_a = first_bench Arch.X86_64 in
   let bin_b = first_bench Arch.Aarch64 in
-  with_server ~workers:2 () @@ fun _srv path ->
+  with_server ~workers:2 ~memo_bytes:1 () @@ fun _srv path ->
   let snap0, _ = scrape path in
   Alcotest.(check int) "fresh daemon: no requests" 0
     (counter snap0 "serve.requests");
@@ -537,8 +572,8 @@ let stats_totals () =
         Hashtbl.replace sum k (v + Option.value ~default:0 (Hashtbl.find_opt sum k)))
       counters
   in
-  let rewrite ?(jobs = 1) bin =
-    match Client.rewrite c ~approach:"ours/jt" ~jobs bin with
+  let rewrite bin =
+    match Client.rewrite c ~approach:"ours/jt" bin with
     | Ok (Protocol.Rewritten { counters; _ }) -> fold counters
     | r ->
         Alcotest.failf "rewrite: %s"
@@ -546,16 +581,15 @@ let stats_totals () =
   in
   (* Three rewrites (the repeat hits the shared cache — its counters
      differ from the first's, which is exactly why we sum what each
-     response reported rather than 3 × solo). The repeat runs at jobs=2
-     so its memo key differs from the first's: this test pins the
-     telemetry of *scheduled* requests; the memo fast path (which folds
-     no trace) has its own test. Counter totals are jobs-independent,
-     so the sum-of-responses check is unaffected. *)
+     response reported rather than 3 × solo). The daemon's one-byte memo
+     bound stores no response, so the repeat is scheduled too: this test
+     pins the telemetry of *scheduled* requests; the memo fast path
+     (which folds no trace) has its own test. *)
   rewrite bin_a;
   rewrite bin_b;
-  rewrite ~jobs:2 bin_a;
+  rewrite bin_a;
   let cls =
-    match Client.classify c ~approach:"ours/jt" ~jobs:1 bin_a with
+    match Client.classify c ~approach:"ours/jt" bin_a with
     | Ok (Protocol.Classified { cls; counters; _ }) ->
         fold counters;
         cls
@@ -630,7 +664,7 @@ let flight_recorder () =
   with_server ~workers:1 ~flight:fl () @@ fun srv path ->
   Client.with_connection path @@ fun c ->
   let rewrite approach b =
-    match Client.rewrite c ~approach ~jobs:1 b with r -> r
+    match Client.rewrite c ~approach b with r -> r
   in
   (match rewrite "ours/jt" bin with
   | Ok (Protocol.Rewritten _) -> ()
@@ -696,7 +730,7 @@ let observation_only () =
       (fun b ->
         if scraped then ignore (scrape ~flight:true path);
         let r =
-          match Client.rewrite c ~approach:"ours/jt" ~jobs:1 b with
+          match Client.rewrite c ~approach:"ours/jt" b with
           | Ok r -> Protocol.response_to_payload r
           | Error m -> Alcotest.failf "transport: %s" m
         in
@@ -880,7 +914,7 @@ let eviction_needfull_heals () =
   registered "register A" (Client.register_bytes c str_a);
   registered "register B (evicts A)" (Client.register_bytes c str_b);
   (match
-     Client.classify_payload c ~approach:"ours/jt" ~jobs:1 (Protocol.Ref dig_a)
+     Client.classify_payload c ~approach:"ours/jt" (Protocol.Ref dig_a)
    with
   | Ok (Protocol.NeedFull { digest }) ->
       Alcotest.(check string) "evicted base answers NeedFull" dig_a digest
@@ -889,7 +923,7 @@ let eviction_needfull_heals () =
         (match r with Ok x -> response_label x | Error m -> m));
   (* The transparent fallback: same Ref, now with the bytes on hand. *)
   (match
-     Client.classify_payload c ~approach:"ours/jt" ~jobs:1 ~fallback:str_a
+     Client.classify_payload c ~approach:"ours/jt" ~fallback:str_a
        (Protocol.Ref dig_a)
    with
   | Ok (Protocol.Classified _) -> ()
@@ -899,7 +933,7 @@ let eviction_needfull_heals () =
   (* The fallback's full upload re-registered A: the same Ref now works
      without any bytes on hand. *)
   (match
-     Client.classify_payload c ~approach:"ours/jt" ~jobs:1 (Protocol.Ref dig_a)
+     Client.classify_payload c ~approach:"ours/jt" (Protocol.Ref dig_a)
    with
   | Ok (Protocol.Classified _) -> ()
   | r ->
@@ -957,7 +991,7 @@ let response_memo () =
   let bin = first_bench Arch.X86_64 in
   let first_payload path =
     Client.with_connection path @@ fun c ->
-    match Client.rewrite c ~approach:"ours/jt" ~jobs:1 bin with
+    match Client.rewrite c ~approach:"ours/jt" bin with
     | Ok r -> Protocol.response_to_payload r
     | Error m -> Alcotest.failf "transport: %s" m
   in
