@@ -47,7 +47,8 @@ let reloc_slots bin entries =
 let value_match_slots bin entries =
   (* Only writable data is scanned: read-only metadata sections (e.g. the
      Go function table) hold code addresses that are not function
-     pointers. *)
+     pointers. Every slot of a zero-fill section reads 0, so one is
+     skipped unscanned unless address 0 is itself an entry. *)
   let reloc_offsets =
     List.filter_map
       (fun (r : Reloc.t) -> if Reloc.is_runtime r then Some r.offset else None)
@@ -58,7 +59,7 @@ let value_match_slots bin entries =
   List.concat_map
     (fun (s : Section.t) ->
       if not (s.Section.perm.Section.write && s.Section.loaded) then []
-      else if s.Section.name = ".bigdata" then []
+      else if Section.is_zero s && not (is_entry entries 0) then []
       else
         let n = Section.size s / 8 in
         List.filter_map

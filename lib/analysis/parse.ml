@@ -199,9 +199,11 @@ let kjoin parts =
      consume), per-section metadata, and the text bytes before the first
      function. Read by every per-function text stage.
    - [cd_eh]: the eh_frame tables ([Cfg.build] reads landing pads).
-   - [cd_data]: every non-text section's bytes. Only jump-table
-     finalization dereferences data words, so a data-only edit costs the
-     finalize stage and keeps every other text-stage hit.
+   - [cd_data]: every non-text section's body, each digested where it
+     lies; a zero-fill body contributes its name and size only, so bulk
+     zeros cost nothing to key. Only jump-table finalization
+     dereferences data words, so a data-only edit costs the finalize
+     stage and keeps every other text-stage hit.
 
    Symbol {e names} are deliberately excluded from [cd_common]: no
    per-function analysis of function [f] reads another function's name,
@@ -213,17 +215,22 @@ let kjoin parts =
    {!Func_ptr.analyze}). The binary's [name] is excluded too — renaming
    a file must not invalidate its entries.
 
-   Each digest is collapsed to 16 bytes here: the raw marshals can be
-   tens of MiB for bulk-data binaries, and these strings are copied into
-   every per-function key of every stage — digesting once per parse
-   keeps key construction O(function size), not O(binary size). *)
+   Each digest is collapsed to 16 bytes here: these strings are copied
+   into every per-function key of every stage — digesting once per parse
+   keeps key construction O(function size), not O(binary size). The
+   bytes hashed are counted under [cost.bytes_hashed]. *)
 type context_digests = {
   cd_common : string;
   cd_eh : string;
   cd_data : string;
 }
 
-let context_digests bin fm syms =
+let context_digests ~probe bin fm syms =
+  let hashed = ref 0 in
+  let md5 str =
+    hashed := !hashed + String.length str;
+    Digest.string str
+  in
   let text = Binary.text bin in
   let first_func =
     List.fold_left
@@ -231,7 +238,7 @@ let context_digests bin fm syms =
       (Section.end_vaddr text) syms
   in
   let head_len = max 0 (first_func - text.Section.vaddr) in
-  let head = Bytes.sub_string text.Section.data 0 head_len in
+  let head = Section.sub_string text 0 head_len in
   let section_meta =
     List.map
       (fun (s : Section.t) ->
@@ -239,7 +246,7 @@ let context_digests bin fm syms =
           s.Section.vaddr,
           s.Section.perm,
           s.Section.loaded,
-          Bytes.length s.Section.data ))
+          Section.size s ))
       bin.Binary.sections
   in
   let nameless_symbols =
@@ -248,30 +255,43 @@ let context_digests bin fm syms =
         (s.Symbol.addr, s.Symbol.size, s.Symbol.kind, s.Symbol.global, s.Symbol.version))
       bin.Binary.symbols
   in
+  (* Each body is hashed where it lies (no copy, no marshal); a zero-fill
+     body is named by its size alone, under its own tag. *)
   let data_bodies =
     List.filter_map
       (fun (s : Section.t) ->
         if s.Section.name = text.Section.name then None
-        else Some (s.Section.name, Bytes.to_string s.Section.data))
+        else
+          Some
+            ( s.Section.name,
+              match s.Section.body with
+              | Section.Zero n -> `Zero n
+              | Section.Data b ->
+                  hashed := !hashed + Bytes.length b;
+                  `Md5 (Digest.bytes b) ))
       bin.Binary.sections
   in
-  {
-    cd_common =
-      Digest.string
-        (mdig
-           ( bin.Binary.arch,
-             bin.Binary.pie,
-             bin.Binary.entry,
-             bin.Binary.toc_base,
-             bin.Binary.dynsyms,
-             bin.Binary.features,
-             fm,
-             nameless_symbols,
-             section_meta,
-             head ));
-    cd_eh = Digest.string (mdig bin.Binary.eh_frame);
-    cd_data = Digest.string (mdig data_bodies);
-  }
+  let cd =
+    {
+      cd_common =
+        md5
+          (mdig
+             ( bin.Binary.arch,
+               bin.Binary.pie,
+               bin.Binary.entry,
+               bin.Binary.toc_base,
+               bin.Binary.dynsyms,
+               bin.Binary.features,
+               fm,
+               nameless_symbols,
+               section_meta,
+               head ));
+      cd_eh = md5 (mdig bin.Binary.eh_frame);
+      cd_data = md5 (mdig data_bodies);
+    }
+  in
+  probe.pcount "cost.bytes_hashed" !hashed;
+  cd
 
 (* A function's content slice: its text bytes extended to the next
    function start (clamped to the text section), so the padding bytes that
@@ -300,7 +320,7 @@ let func_slices bin syms =
       | None -> thi
     in
     let hi = max lo (min thi (max stop (sym.Symbol.addr + sym.Symbol.size))) in
-    Bytes.sub_string text.Section.data (lo - tlo) (hi - lo)
+    Section.sub_string text (lo - tlo) (hi - lo)
 
 let parse ?(fm = Failure_model.ours) ?(probe = no_probe) ?memo bin =
   probe.pspan "parse" @@ fun () ->
@@ -309,7 +329,7 @@ let parse ?(fm = Failure_model.ours) ?(probe = no_probe) ?memo bin =
      path costs (and does) exactly what it did before memoization. *)
   let keys =
     lazy
-      (let cd = context_digests bin fm syms in
+      (let cd = context_digests ~probe bin fm syms in
        let slice = func_slices bin syms in
        fun pieces (sym : Symbol.t) ->
          kjoin

@@ -56,10 +56,9 @@ let srbi ?(payload = default_payload) ?cache bin =
       let out = rw.Rewriter.rw_binary in
       let out =
         Binary.add_section out
-          (Section.make ~name:".trapmap"
+          (Section.zeros ~name:".trapmap"
              ~vaddr:((Binary.code_end out + 0xfff) / 0x1000 * 0x1000)
-             ~perm:Section.r_only
-             (Bytes.make map_size '\000'))
+             ~perm:Section.r_only map_size)
       in
       let stats =
         { rw.Rewriter.rw_stats with Rewriter.s_new_size = Binary.loaded_size out }

@@ -1077,7 +1077,7 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
     let lim = min nxt (Section.end_vaddr text) in
     let pad =
       if lim > fend && fend >= text.Section.vaddr then
-        Bytes.sub_string text.Section.data
+        Section.sub_string text
           (fend - text.Section.vaddr)
           (lim - fend)
       else ""

@@ -138,7 +138,7 @@ let perturb_data (p : Parse.t) =
   let try_one ((s : Icfg_obj.Section.t), off) =
     let out = Binary.copy bin in
     let addr = s.Icfg_obj.Section.vaddr + off in
-    let c = Char.code (Bytes.get s.Icfg_obj.Section.data off) in
+    let c = Binary.read8 bin addr land 0xff in
     Binary.write_string out addr (String.make 1 (Char.chr (c lxor 1)));
     let q = Parse.parse ~fm:p.Parse.fm out in
     if digest_of q = want then Some (out, s.Icfg_obj.Section.name) else None

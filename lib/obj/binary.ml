@@ -114,9 +114,10 @@ let map_section t name f =
     invalid_arg (Printf.sprintf "Binary.map_section: no section %s" name);
   with_sections t sections
 
+(* The section holding [addr, addr + n) and the offset of [addr] in it. *)
 let locate t addr n =
   match section_at t addr with
-  | Some s when addr + n <= Section.end_vaddr s -> (s.Section.data, addr - s.Section.vaddr)
+  | Some s when addr + n <= Section.end_vaddr s -> (s, addr - s.Section.vaddr)
   | _ ->
       invalid_arg
         (Printf.sprintf "Binary %s: address 0x%x (+%d) is not mapped" t.name
@@ -126,21 +127,27 @@ let sign_extend v bits =
   let shift = Sys.int_size - bits in
   (v lsl shift) asr shift
 
+(* Reads of a zero-fill section are 0 and allocate nothing. *)
 let read8 t addr =
-  let b, off = locate t addr 1 in
-  sign_extend (Bytes.get_uint8 b off) 8
+  match locate t addr 1 with
+  | { Section.body = Section.Data b; _ }, off -> sign_extend (Bytes.get_uint8 b off) 8
+  | _ -> 0
 
 let read16 t addr =
-  let b, off = locate t addr 2 in
-  sign_extend (Bytes.get_uint16_le b off) 16
+  match locate t addr 2 with
+  | { Section.body = Section.Data b; _ }, off ->
+      sign_extend (Bytes.get_uint16_le b off) 16
+  | _ -> 0
 
 let read32 t addr =
-  let b, off = locate t addr 4 in
-  Int32.to_int (Bytes.get_int32_le b off)
+  match locate t addr 4 with
+  | { Section.body = Section.Data b; _ }, off -> Int32.to_int (Bytes.get_int32_le b off)
+  | _ -> 0
 
 let read64 t addr =
-  let b, off = locate t addr 8 in
-  Int64.to_int (Bytes.get_int64_le b off)
+  match locate t addr 8 with
+  | { Section.body = Section.Data b; _ }, off -> Int64.to_int (Bytes.get_int64_le b off)
+  | _ -> 0
 
 let read t addr (w : Icfg_isa.Insn.width) =
   match w with
@@ -149,21 +156,22 @@ let read t addr (w : Icfg_isa.Insn.width) =
   | W32 -> read32 t addr
   | W64 -> read64 t addr
 
+(* Writes materialize a zero-fill section first. *)
 let write8 t addr v =
-  let b, off = locate t addr 1 in
-  Bytes.set_uint8 b off (v land 0xff)
+  let s, off = locate t addr 1 in
+  Bytes.set_uint8 (Section.bytes s) off (v land 0xff)
 
 let write16 t addr v =
-  let b, off = locate t addr 2 in
-  Bytes.set_uint16_le b off (v land 0xffff)
+  let s, off = locate t addr 2 in
+  Bytes.set_uint16_le (Section.bytes s) off (v land 0xffff)
 
 let write32 t addr v =
-  let b, off = locate t addr 4 in
-  Bytes.set_int32_le b off (Int32.of_int v)
+  let s, off = locate t addr 4 in
+  Bytes.set_int32_le (Section.bytes s) off (Int32.of_int v)
 
 let write64 t addr v =
-  let b, off = locate t addr 8 in
-  Bytes.set_int64_le b off (Int64.of_int v)
+  let s, off = locate t addr 8 in
+  Bytes.set_int64_le (Section.bytes s) off (Int64.of_int v)
 
 let write t addr (w : Icfg_isa.Insn.width) v =
   match w with
@@ -173,17 +181,10 @@ let write t addr (w : Icfg_isa.Insn.width) v =
   | W64 -> write64 t addr v
 
 let write_string t addr s =
-  let b, off = locate t addr (String.length s) in
-  Bytes.blit_string s 0 b off (String.length s)
+  let sec, off = locate t addr (String.length s) in
+  Bytes.blit_string s 0 (Section.bytes sec) off (String.length s)
 
-let copy t =
-  {
-    t with
-    sections =
-      List.map
-        (fun s -> { s with Section.data = Bytes.copy s.Section.data })
-        t.sections;
-  }
+let copy t = { t with sections = List.map Section.copy t.sections }
 
 let loaded_size t =
   List.fold_left
@@ -198,7 +199,8 @@ let code_end t =
 let decode_at t addr =
   match section_at t addr with
   | Some s when s.Section.perm.execute ->
-      Icfg_isa.Encode.decode_bytes t.arch s.Section.data ~pos:(addr - s.Section.vaddr)
+      Icfg_isa.Encode.decode_bytes t.arch (Section.bytes s)
+        ~pos:(addr - s.Section.vaddr)
   | Some s ->
       invalid_arg
         (Printf.sprintf "Binary.decode_at: 0x%x is in non-executable %s" addr

@@ -79,7 +79,8 @@ val map_section : t -> string -> (Section.t -> Section.t) -> t
 val read8 : t -> int -> int
 val read16 : t -> int -> int
 val read32 : t -> int -> int
-(** Sign-extended reads. Raise [Invalid_argument] outside any section. *)
+(** Sign-extended reads. Raise [Invalid_argument] outside any section.
+    A zero-fill section reads as 0. *)
 
 val read64 : t -> int -> int
 val read : t -> int -> Icfg_isa.Insn.width -> int
@@ -89,10 +90,12 @@ val write32 : t -> int -> int -> unit
 val write64 : t -> int -> int -> unit
 val write : t -> int -> Icfg_isa.Insn.width -> int -> unit
 val write_string : t -> int -> string -> unit
-(** In-place mutation of section bytes (the container shares [Bytes.t]). *)
+(** In-place mutation of section bytes (the container shares [Bytes.t]).
+    A write into a zero-fill section materializes it first. *)
 
 val copy : t -> t
-(** Deep copy (fresh byte buffers) so rewriting never mutates the input. *)
+(** Deep copy (fresh byte buffers) so rewriting never mutates the input.
+    O(1) per zero-fill section. *)
 
 (** {1 Measures} *)
 

@@ -4,16 +4,39 @@ let magic = "ICFG1"
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let w8 b v = Buffer.add_uint8 b (v land 0xff)
+(* The encoder runs twice over one sink type: a sizing pass ([out]
+   empty) that only advances [at], then a fill pass into a buffer of
+   exactly that size. So the container is built in one allocation, with no
+   doubling and no final copy; zero-fill bodies are written as zeros. *)
+type sink = { out : Bytes.t; mutable at : int }
 
-let w64 b v =
-  let t = Bytes.create 8 in
-  Bytes.set_int64_le t 0 (Int64.of_int v);
-  Buffer.add_bytes b t
+let sizing s = Bytes.length s.out = 0
 
-let wstr b s =
-  w64 b (String.length s);
-  Buffer.add_string b s
+let w8 s v =
+  if not (sizing s) then Bytes.set_uint8 s.out s.at (v land 0xff);
+  s.at <- s.at + 1
+
+let w64 s v =
+  if not (sizing s) then Bytes.set_int64_le s.out s.at (Int64.of_int v);
+  s.at <- s.at + 8
+
+let wraw s str =
+  if not (sizing s) then Bytes.blit_string str 0 s.out s.at (String.length str);
+  s.at <- s.at + String.length str
+
+let wstr s str =
+  w64 s (String.length str);
+  wraw s str
+
+let wbody s (sec : Section.t) =
+  let n = Section.size sec in
+  w64 s n;
+  if not (sizing s) then begin
+    match sec.Section.body with
+    | Section.Data d -> Bytes.blit d 0 s.out s.at n
+    | Section.Zero _ -> Bytes.fill s.out s.at n '\000'
+  end;
+  s.at <- s.at + n
 
 let wbool b v = w8 b (if v then 1 else 0)
 let wopt b f = function None -> w8 b 0 | Some v -> w8 b 1; f v
@@ -47,9 +70,8 @@ let lang_of_tag = function
   | 4 -> Binary.Go
   | n -> invalid_arg (Printf.sprintf "Binfile: bad language tag %d" n)
 
-let to_buffer (bin : Binary.t) =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b magic;
+let encode b (bin : Binary.t) =
+  wraw b magic;
   wstr b bin.Binary.name;
   w8 b (arch_tag bin.Binary.arch);
   wbool b bin.Binary.pie;
@@ -76,7 +98,7 @@ let to_buffer (bin : Binary.t) =
         lor (if s.Section.perm.Section.write then 2 else 0)
         lor if s.Section.perm.Section.execute then 4 else 0);
       wbool b s.Section.loaded;
-      wstr b (Bytes.to_string s.Section.data))
+      wbody b s)
     bin.Binary.sections;
   (* symbols *)
   wlist b
@@ -117,15 +139,18 @@ let to_buffer (bin : Binary.t) =
           w64 b hi;
           w64 b h)
         f.Ehframe.landing_pads)
-    (Ehframe.fdes bin.Binary.eh_frame);
-  b
+    (Ehframe.fdes bin.Binary.eh_frame)
 
-let to_bytes bin = Buffer.to_bytes (to_buffer bin)
+let to_bytes bin =
+  let size = { out = Bytes.empty; at = 0 } in
+  encode size bin;
+  let s = { out = Bytes.create size.at; at = 0 } in
+  encode s bin;
+  s.out
 
-(* [Buffer.contents] is the one copy an immutable result needs; callers
-   shipping container bytes over a wire (the serve daemon) avoid the
-   extra [Bytes.to_string] round-trip [to_bytes] would force. *)
-let to_string bin = Buffer.contents (to_buffer bin)
+(* The buffer is fresh and never escapes as bytes, so handing it out as
+   a string costs no copy. *)
+let to_string bin = Bytes.unsafe_to_string (to_bytes bin)
 
 (* ------------------------------------------------------------------ *)
 (* Reader                                                              *)
@@ -149,10 +174,15 @@ let r64 r =
   r.pos <- r.pos + 8;
   v
 
-let rstr r =
+(* A length-prefixed field's length, checked against the input. *)
+let rlen r =
   let n = r64 r in
   if n < 0 || n > Bytes.length r.buf then invalid_arg "Binfile: bad string";
   need r n;
+  n
+
+let rstr r =
+  let n = rlen r in
   let s = Bytes.sub_string r.buf r.pos n in
   r.pos <- r.pos + n;
   s
@@ -207,8 +237,11 @@ let of_bytes buf =
           }
         in
         let loaded = rbool r in
-        let data = Bytes.of_string (rstr r) in
-        Section.make ~loaded ~name ~vaddr ~perm data)
+        let n = rlen r in
+        (* Scanned in place: a zero body is never copied. *)
+        let sec = Section.of_sub ~loaded ~name ~vaddr ~perm r.buf r.pos n in
+        r.pos <- r.pos + n;
+        sec)
   in
   let symbols =
     rlist r (fun () ->
@@ -263,8 +296,8 @@ let of_bytes buf =
     ~toc_base ~dynsyms ~features ~name ~arch ~entry ~symbols sections
 
 (* Zero-copy decode from an immutable string: the reader above only ever
-   reads ([need]/[Bytes.get*]/[Bytes.sub_string]), so viewing the string
-   as bytes without copying is safe — and saves one whole-binary copy per
+   reads ([need]/[Bytes.get*]/[Bytes.sub_string]/[Section.of_sub]), so
+   viewing the string as bytes without copying is safe — and saves one whole-binary copy per
    request on the serve hot path. *)
 let of_string s = of_bytes (Bytes.unsafe_of_string s)
 

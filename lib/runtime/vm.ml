@@ -82,13 +82,21 @@ and b_icache = 8
 
 type segment = {
   seg_base : int;
-  seg_bytes : Bytes.t;
+  seg_len : int;
+  mutable seg_bytes : Bytes.t;
+      (** empty while a zero-fill section's segment is demand-zero: loads
+          read 0, and the first store allocates the [seg_len] bytes *)
   seg_perm : Section.perm;
   seg_decode : (Insn.t * int) option array;
       (** per-offset decode cache (code never changes during execution) *)
 }
 
-let seg_end s = s.seg_base + Bytes.length s.seg_bytes
+let seg_end s = s.seg_base + s.seg_len
+
+let seg_store_bytes s =
+  if Bytes.length s.seg_bytes < s.seg_len then
+    s.seg_bytes <- Bytes.make s.seg_len '\000';
+  s.seg_bytes
 
 type t = {
   bin : Binary.t;
@@ -151,11 +159,13 @@ let read_mem vm addr (w : Insn.width) =
   | Some s when addr + Insn.width_bytes w <= seg_end s ->
       let off = addr - s.seg_base in
       let b = s.seg_bytes in
-      (match w with
-      | W8 -> sign_extend (Bytes.get_uint8 b off) 8
-      | W16 -> sign_extend (Bytes.get_uint16_le b off) 16
-      | W32 -> Int32.to_int (Bytes.get_int32_le b off)
-      | W64 -> Int64.to_int (Bytes.get_int64_le b off))
+      if Bytes.length b = 0 then 0
+      else (
+        match w with
+        | W8 -> sign_extend (Bytes.get_uint8 b off) 8
+        | W16 -> sign_extend (Bytes.get_uint16_le b off) 16
+        | W32 -> Int32.to_int (Bytes.get_int32_le b off)
+        | W64 -> Int64.to_int (Bytes.get_int64_le b off))
   | _ -> crash vm (Printf.sprintf "read from unmapped address 0x%x" addr)
 
 let write_mem vm addr (w : Insn.width) v =
@@ -164,7 +174,7 @@ let write_mem vm addr (w : Insn.width) v =
       if not s.seg_perm.Section.write then
         crash vm (Printf.sprintf "write to read-only address 0x%x" addr);
       let off = addr - s.seg_base in
-      let b = s.seg_bytes in
+      let b = seg_store_bytes s in
       (match w with
       | W8 -> Bytes.set_uint8 b off (v land 0xff)
       | W16 -> Bytes.set_uint16_le b off (v land 0xffff)
@@ -177,7 +187,7 @@ let write_mem vm addr (w : Insn.width) v =
 let write_mem_raw vm addr v =
   match find_segment vm addr with
   | Some s when addr + 8 <= seg_end s ->
-      Bytes.set_int64_le s.seg_bytes (addr - s.seg_base) (Int64.of_int v)
+      Bytes.set_int64_le (seg_store_bytes s) (addr - s.seg_base) (Int64.of_int v)
   | _ -> crash vm (Printf.sprintf "relocation outside any segment: 0x%x" addr)
 
 let fetch vm addr =
@@ -516,19 +526,26 @@ let load ?(config : config option) ?(routines = []) (bin : Binary.t) =
   let cfg = match config with Some c -> c | None -> default_config () in
   let lb = if bin.Binary.pie then cfg.load_base else 0 in
   let seg_of_section (s : Section.t) =
+    let seg_len = Section.size s in
     {
       seg_base = s.Section.vaddr + lb;
-      seg_bytes = Bytes.copy s.Section.data;
+      seg_len;
+      seg_bytes =
+        (match s.Section.body with
+        | Section.Data b -> Bytes.copy b
+        | Section.Zero n ->
+            (* Code is fetched, not loaded: only data can be demand-zero. *)
+            if s.Section.perm.Section.execute then Bytes.make n '\000'
+            else Bytes.empty);
       seg_perm = s.Section.perm;
       seg_decode =
-        (if s.Section.perm.Section.execute then
-           Array.make (Bytes.length s.Section.data) None
-         else [||]);
+        (if s.Section.perm.Section.execute then Array.make seg_len None else [||]);
     }
   in
   let stack =
     {
       seg_base = cfg.stack_base;
+      seg_len = cfg.stack_size;
       seg_bytes = Bytes.make cfg.stack_size '\000';
       seg_perm = Section.r_w;
       seg_decode = [||];

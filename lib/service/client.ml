@@ -18,7 +18,7 @@ let with_connection path f =
   Fun.protect ~finally:(fun () -> close c) (fun () -> f c)
 
 let call c req =
-  Protocol.write_frame c.fd (Protocol.request_to_payload req);
+  Protocol.write_request c.fd req;
   match Protocol.read_frame c.fd with
   | None -> Stdlib.Error "server closed the connection"
   | Some p -> Protocol.response_of_payload p

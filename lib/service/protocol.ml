@@ -84,126 +84,137 @@ type response =
 
 (* ---------------- encoding ---------------- *)
 
-let put_u32 b n = Buffer.add_int32_le b (Int32.of_int n)
-let put_i64 b n = Buffer.add_int64_le b (Int64.of_int n)
-let put_f64 b x = Buffer.add_int64_le b (Int64.bits_of_float x)
+(* One encoder, two sinks. A payload is encoded as a list of pieces:
+   fixed-width fields and short strings accumulate in [cur]; a long
+   string (a binary) becomes a piece of its own, by reference, never
+   copied. [*_to_payload] concatenates the pieces once at the exact size;
+   [write_request]/[write_response] write them straight to the fd. *)
+type enc = { cur : Buffer.t; mutable rev_pieces : string list }
 
-let put_str b s =
-  put_u32 b (String.length s);
-  Buffer.add_string b s
+(* Strings at least this long travel by reference. *)
+let big = 4096
 
-let put_ctrs b ctrs =
-  put_u32 b (List.length ctrs);
+let flush e =
+  if Buffer.length e.cur > 0 then begin
+    e.rev_pieces <- Buffer.contents e.cur :: e.rev_pieces;
+    Buffer.clear e.cur
+  end
+
+let put_u8 e n = Buffer.add_uint8 e.cur n
+let put_u32 e n = Buffer.add_int32_le e.cur (Int32.of_int n)
+let put_i64 e n = Buffer.add_int64_le e.cur (Int64.of_int n)
+let put_f64 e x = Buffer.add_int64_le e.cur (Int64.bits_of_float x)
+
+let put_str e s =
+  put_u32 e (String.length s);
+  if String.length s < big then Buffer.add_string e.cur s
+  else begin
+    flush e;
+    e.rev_pieces <- s :: e.rev_pieces
+  end
+
+let put_ctrs e ctrs =
+  put_u32 e (List.length ctrs);
   List.iter
     (fun (k, v) ->
-      put_str b k;
-      put_i64 b v)
+      put_str e k;
+      put_i64 e v)
     ctrs
 
-let payload tag body =
-  let b = Buffer.create (16 + String.length body) in
-  Buffer.add_string b magic;
-  Buffer.add_char b (Char.chr tag);
-  Buffer.add_string b body;
-  Buffer.contents b
+let pieces tag body =
+  let e = { cur = Buffer.create 256; rev_pieces = [] } in
+  Buffer.add_string e.cur magic;
+  put_u8 e tag;
+  body e;
+  flush e;
+  List.rev e.rev_pieces
 
-let body f =
-  let b = Buffer.create 64 in
-  f b;
-  Buffer.contents b
-
-let put_payload b = function
+let put_payload e = function
   | Full bin ->
-      Buffer.add_char b '\x00';
-      put_str b bin
+      put_u8 e 0x00;
+      put_str e bin
   | Ref digest ->
-      Buffer.add_char b '\x01';
-      put_str b digest
+      put_u8 e 0x01;
+      put_str e digest
   | Patch { base; total_len; ranges } ->
-      Buffer.add_char b '\x02';
-      put_str b base;
-      put_u32 b total_len;
-      put_u32 b (List.length ranges);
+      put_u8 e 0x02;
+      put_str e base;
+      put_u32 e total_len;
+      put_u32 e (List.length ranges);
       List.iter
         (fun (off, bytes) ->
-          put_u32 b off;
-          put_str b bytes)
+          put_u32 e off;
+          put_str e bytes)
         ranges
 
-let request_to_payload = function
-  | Ping -> payload 0x01 ""
-  | Rewrite { approach; reserved; payload = p } ->
-      payload 0x02
-        (body (fun b ->
-             put_str b approach;
-             put_u32 b reserved;
-             put_payload b p))
-  | Classify { approach; reserved; payload = p } ->
-      payload 0x03
-        (body (fun b ->
-             put_str b approach;
-             put_u32 b reserved;
-             put_payload b p))
-  | Stats { flight } ->
-      payload 0x04 (body (fun b -> Buffer.add_char b (if flight then '\x01' else '\x00')))
-  | Register { bin } -> payload 0x05 (body (fun b -> put_str b bin))
+let work_body ~approach ~reserved p e =
+  put_str e approach;
+  put_u32 e reserved;
+  put_payload e p
 
-let put_histos b histos =
-  put_u32 b (List.length histos);
+let request_pieces = function
+  | Ping -> pieces 0x01 ignore
+  | Rewrite { approach; reserved; payload = p } ->
+      pieces 0x02 (work_body ~approach ~reserved p)
+  | Classify { approach; reserved; payload = p } ->
+      pieces 0x03 (work_body ~approach ~reserved p)
+  | Stats { flight } -> pieces 0x04 (fun e -> put_u8 e (if flight then 1 else 0))
+  | Register { bin } -> pieces 0x05 (fun e -> put_str e bin)
+
+let put_histos e histos =
+  put_u32 e (List.length histos);
   List.iter
     (fun (name, (h : Metrics.histo)) ->
-      put_str b name;
-      put_i64 b h.Metrics.h_count;
-      put_i64 b h.Metrics.h_sum;
-      put_u32 b (List.length h.Metrics.h_buckets);
+      put_str e name;
+      put_i64 e h.Metrics.h_count;
+      put_i64 e h.Metrics.h_sum;
+      put_u32 e (List.length h.Metrics.h_buckets);
       List.iter
         (fun (idx, n) ->
-          put_u32 b idx;
-          put_i64 b n)
+          put_u32 e idx;
+          put_i64 e n)
         h.Metrics.h_buckets)
     histos
 
-let response_to_payload = function
-  | Pong -> payload 0x81 ""
+let response_pieces = function
+  | Pong -> pieces 0x81 ignore
   | Rewritten { bin; digest; counters } ->
-      payload 0x82
-        (body (fun b ->
-             put_str b bin;
-             put_str b digest;
-             put_ctrs b counters))
+      pieces 0x82 (fun e ->
+          put_str e bin;
+          put_str e digest;
+          put_ctrs e counters)
   | Refused { reason; digest; counters } ->
-      payload 0x83
-        (body (fun b ->
-             put_str b reason;
-             put_str b digest;
-             put_ctrs b counters))
+      pieces 0x83 (fun e ->
+          put_str e reason;
+          put_str e digest;
+          put_ctrs e counters)
   | Classified { cls; ns; digest; counters } ->
-      payload 0x84
-        (body (fun b ->
-             put_str b (Matrix.cls_to_string cls);
-             put_f64 b ns;
-             put_str b digest;
-             put_ctrs b counters))
+      pieces 0x84 (fun e ->
+          put_str e (Matrix.cls_to_string cls);
+          put_f64 e ns;
+          put_str e digest;
+          put_ctrs e counters)
   | Error { message; counters } ->
-      payload 0x85
-        (body (fun b ->
-             put_str b message;
-             put_ctrs b counters))
-  | Overloaded -> payload 0x86 ""
+      pieces 0x85 (fun e ->
+          put_str e message;
+          put_ctrs e counters)
+  | Overloaded -> pieces 0x86 ignore
   | StatsSnapshot { snap; flight } ->
-      payload 0x87
-        (body (fun b ->
-             put_ctrs b snap.Metrics.s_counters;
-             put_ctrs b snap.Metrics.s_gauges;
-             put_histos b snap.Metrics.s_histos;
-             match flight with
-             | None -> Buffer.add_char b '\x00'
-             | Some f ->
-                 Buffer.add_char b '\x01';
-                 put_str b f))
-  | Registered { digest } -> payload 0x88 (body (fun b -> put_str b digest))
-  | NeedFull { digest } -> payload 0x89 (body (fun b -> put_str b digest))
-  | Rejected { reason } -> payload 0x8A (body (fun b -> put_str b reason))
+      pieces 0x87 (fun e ->
+          put_ctrs e snap.Metrics.s_counters;
+          put_ctrs e snap.Metrics.s_gauges;
+          put_histos e snap.Metrics.s_histos;
+          match flight with
+          | None -> put_u8 e 0
+          | Some f ->
+              put_u8 e 1;
+              put_str e f)
+  | Registered { digest } -> pieces 0x88 (fun e -> put_str e digest)
+  | NeedFull { digest } -> pieces 0x89 (fun e -> put_str e digest)
+  | Rejected { reason } -> pieces 0x8A (fun e -> put_str e reason)
+
+let request_to_payload r = String.concat "" (request_pieces r)
+let response_to_payload r = String.concat "" (response_pieces r)
 
 (* ---------------- decoding ---------------- *)
 
@@ -475,12 +486,23 @@ let read_exact fd n =
   in
   go 0
 
-let write_frame fd p =
-  let n = String.length p in
+(* The header rides with a short first piece (the head the encoder
+   always starts with); long pieces are written where they lie. *)
+let write_pieces fd pieces =
+  let n = List.fold_left (fun n p -> n + String.length p) 0 pieces in
   if n > max_frame then invalid_arg "Protocol.write_frame: frame too large";
   let hdr = Bytes.create 4 in
   Bytes.set_int32_le hdr 0 (Int32.of_int n);
-  write_all fd (Bytes.unsafe_to_string hdr ^ p)
+  let hdr = Bytes.unsafe_to_string hdr in
+  match pieces with
+  | first :: rest when String.length first < big ->
+      write_all fd (hdr ^ first);
+      List.iter (write_all fd) rest
+  | _ -> List.iter (write_all fd) (hdr :: pieces)
+
+let write_frame fd p = write_pieces fd [ p ]
+let write_request fd r = write_pieces fd (request_pieces r)
+let write_response fd r = write_pieces fd (response_pieces r)
 
 exception Oversized of int
 

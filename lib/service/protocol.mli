@@ -96,6 +96,8 @@ type response =
 
 val request_to_payload : request -> string
 val response_to_payload : response -> string
+(** The payload, built in one allocation of its exact size. *)
+
 val request_of_payload : string -> (request, string) result
 val response_of_payload : string -> (response, string) result
 
@@ -133,6 +135,13 @@ exception Oversized of int
 val write_frame : Unix.file_descr -> string -> unit
 (** Write one [len:u32le + payload] frame. [Invalid_argument] beyond
     {!max_frame}. *)
+
+val write_request : Unix.file_descr -> request -> unit
+val write_response : Unix.file_descr -> response -> unit
+(** [write_frame fd (request_to_payload r)] (resp.
+    [response_to_payload]), byte for byte, without building the payload:
+    the encoder's pieces go straight to the fd, so a binary field is
+    written where it lies, never copied into a frame. *)
 
 val read_frame : ?max:int -> Unix.file_descr -> string option
 (** Read one frame. [None] on a clean EOF at a frame boundary (normal

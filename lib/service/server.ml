@@ -177,6 +177,7 @@ type work = {
   wk_approach : string;
   wk_bin : string;  (* resolved Binfile container bytes *)
   wk_digest : string;
+  wk_hashed : int;  (* bytes the connection thread hashed to resolve it *)
 }
 
 (* Runs on an executor domain. Total: every failure becomes a typed
@@ -192,6 +193,7 @@ let run_request t (w : work) : Protocol.response =
          round-trip) saves one whole-binary copy per request; the saved
          bytes are counted so the win shows up in [trace.*]. *)
       Trace.add "serve.bin_bytes_zero_copy" (String.length w.wk_bin);
+      Trace.add "cost.bytes_hashed" w.wk_hashed;
       let bin = Binfile.of_string w.wk_bin in
       match w.wk_kind with
       | `Rewrite -> (
@@ -218,7 +220,14 @@ let run_request t (w : work) : Protocol.response =
                 { reason; digest = w.wk_digest; counters = Trace.counters tr }
           )
       | `Classify ->
-          let orig = Runner.run_original bin in
+          (* The original's run is a function of the container alone, so
+             the approaches classifying one binary share it. *)
+          let orig =
+            List.hd
+              (Cache.memo_map ~cache:t.srv_cache ~stage:"run:original"
+                 ~key:(fun _ -> w.wk_digest)
+                 Runner.run_original [ bin ])
+          in
           let ns, cls =
             Matrix.eval_cell ~orig ~approach:w.wk_approach ~cache:t.srv_cache
               bin
@@ -242,17 +251,19 @@ let run_request t (w : work) : Protocol.response =
 (* Turn a request payload into container bytes + digest, registering
    full uploads and patch results along the way (a reconstructed binary
    is as referenceable as an uploaded one). Pure byte work — runs on the
-   connection thread, never the executors. *)
+   connection thread, never the executors, so no request trace is
+   installed: the bytes hashed are returned too, and the executor books
+   them under the request's [cost.bytes_hashed]. *)
 let resolve_payload t = function
   | Protocol.Full bin ->
       let digest = Store.digest bin in
       (* Opportunistic: a binary too large for the store still rewrites
          fine, it just can't be referenced later. *)
       ignore (Store.add t.store ~key:digest bin);
-      Ok (bin, digest)
+      Ok (bin, digest, String.length bin)
   | Protocol.Ref digest -> (
       match Store.find t.store digest with
-      | Some bin -> Ok (bin, digest)
+      | Some bin -> Ok (bin, digest, 0)
       | None -> Error (`Need_full digest))
   | Protocol.Patch { base; total_len; ranges } -> (
       match Store.find t.store base with
@@ -262,7 +273,7 @@ let resolve_payload t = function
           | Ok bin ->
               let digest = Store.digest bin in
               ignore (Store.add t.store ~key:digest bin);
-              Ok (bin, digest)
+              Ok (bin, digest, String.length bin)
           | Error m -> Error (`Bad m)))
 
 (* The response memo entry is the already-encoded response payload of
@@ -288,9 +299,7 @@ let conn_loop t fd =
     Mutex.unlock t.cm
   in
   Fun.protect ~finally @@ fun () ->
-  let write_resp resp =
-    Protocol.write_frame fd (Protocol.response_to_payload resp)
-  in
+  let write_resp resp = Protocol.write_response fd resp in
   let error_resp m =
     Atomic.incr t.n_errors;
     Metrics.incr t.registry "serve.errors";
@@ -352,13 +361,14 @@ let conn_loop t fd =
   in
   let handle kind ~approach payload =
     match resolve_payload t payload with
-    | Ok (bin, digest) ->
+    | Ok (bin, digest, hashed) ->
         run_work
           {
             wk_kind = kind;
             wk_approach = approach;
             wk_bin = bin;
             wk_digest = digest;
+            wk_hashed = hashed;
           }
     | Error (`Need_full digest) ->
         (* Typed miss, not an error: the base was evicted or never seen.

@@ -49,7 +49,9 @@ let create ?(max_bytes = 1 lsl 30) () =
     rejected = 0;
   }
 
-let digest s = Digest.to_hex (Digest.string s)
+let digest s =
+  Icfg_core.Trace.add "cost.bytes_hashed" (String.length s);
+  Digest.to_hex (Digest.string s)
 
 let bump t r =
   t.tick <- t.tick + 1;

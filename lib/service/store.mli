@@ -25,7 +25,8 @@ val create : ?max_bytes:int -> unit -> t
 
 val digest : string -> string
 (** Content digest used as the wire-visible binary handle (32 hex
-    chars). *)
+    chars). Adds the bytes hashed to the ambient trace's
+    [cost.bytes_hashed]. *)
 
 val add : t -> key:string -> string -> bool
 (** Insert (or refresh) [key], evicting LRU entries until the value

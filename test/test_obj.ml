@@ -180,7 +180,7 @@ let binary_equal (a : Binary.t) (b : Binary.t) =
          && x.Section.vaddr = y.Section.vaddr
          && x.Section.perm = y.Section.perm
          && x.Section.loaded = y.Section.loaded
-         && Bytes.equal x.Section.data y.Section.data)
+         && x.Section.body = y.Section.body)
        a.Binary.sections b.Binary.sections
 
 let test_binfile_roundtrip () =

@@ -127,7 +127,7 @@ let reconciliation_srbi_like () =
 (* ------------------------------------------------------------------ *)
 
 let section_image (s : Section.t) =
-  (s.Section.name, s.Section.vaddr, Bytes.to_string s.Section.data)
+  (s.Section.name, s.Section.vaddr, Section.sub_string s 0 (Section.size s))
 
 (* Cold and warm cached rewrites take their placement plans from
    different places (computed vs unmarshalled), so the attribution they

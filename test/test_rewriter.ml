@@ -644,7 +644,7 @@ let fingerprint (rw : Rewriter.t) =
   let section_image (s : Icfg_obj.Section.t) =
     ( s.Icfg_obj.Section.name,
       s.Icfg_obj.Section.vaddr,
-      Bytes.to_string s.Icfg_obj.Section.data,
+      Icfg_obj.Section.(sub_string s 0 (size s)),
       s.Icfg_obj.Section.perm,
       s.Icfg_obj.Section.loaded )
   in

@@ -414,13 +414,15 @@ let isolation () =
   let solo_a = solo_counters bin_a and solo_b = solo_counters bin_b in
   Alcotest.(check bool) "solo counters nonempty" true (solo_a <> []);
   with_server ~workers:2 () @@ fun _srv path ->
-  let got = [| []; [] |] in
+  let got = [| []; [] |] and out_len = [| 0; 0 |] in
   let request i bin =
     Thread.create
       (fun () ->
         Client.with_connection path @@ fun c ->
         match Client.rewrite c ~approach:"ours/jt" bin with
-        | Ok (Protocol.Rewritten { counters; _ }) -> got.(i) <- counters
+        | Ok (Protocol.Rewritten { counters; bin; _ }) ->
+            got.(i) <- counters;
+            out_len.(i) <- String.length bin
         | r ->
             Alcotest.failf "request %d: %s" i
               (match r with Ok x -> response_label x | Error m -> m))
@@ -436,10 +438,20 @@ let isolation () =
     List.filter (fun (k, _) ->
         not (String.length k >= 6 && String.sub k 0 6 = "serve."))
   in
+  (* It also hashes the upload and the result ([Store.digest]), booked
+     under the request's [cost.bytes_hashed] beside the pipeline's own. *)
+  let with_service_hashing i bin solo =
+    let extra = String.length (Binfile.to_string bin) + out_len.(i) in
+    List.map
+      (fun (k, v) -> if k = "cost.bytes_hashed" then (k, v + extra) else (k, v))
+      solo
+  in
   Alcotest.(check bool)
-    "request A counters == solo A totals" true (strip_serve got.(0) = solo_a);
+    "request A counters == solo A totals" true
+    (strip_serve got.(0) = with_service_hashing 0 bin_a solo_a);
   Alcotest.(check bool)
-    "request B counters == solo B totals" true (strip_serve got.(1) = solo_b)
+    "request B counters == solo B totals" true
+    (strip_serve got.(1) = with_service_hashing 1 bin_b solo_b)
 
 (* ------------------------------------------------------------------ *)
 (* (e) crash containment: raising drivers, garbage frames, bad names   *)

@@ -285,7 +285,7 @@ let graded_srbi () =
 (* ------------------------------------------------------------------ *)
 
 let section_image (s : Section.t) =
-  (s.Section.name, s.Section.vaddr, Bytes.to_string s.Section.data)
+  (s.Section.name, s.Section.vaddr, Section.sub_string s 0 (Section.size s))
 
 let sections (rw : Rewriter.t) =
   List.map section_image rw.Rewriter.rw_binary.Binary.sections
