@@ -1,19 +1,15 @@
 (* Content-addressed memoization of per-function pipeline artifacts.
 
-   Store model: one mutex-protected [string -> string] table (final key ->
-   marshalled payload), optionally mirrored to [dir]/<key>.entry files.
-   Keys digest every input of the cached computation, so invalidation is
-   free: changed inputs -> changed key -> miss. The disk format is
-   self-validating (magic + key echo + payload length + payload digest);
-   anything that fails validation is evicted and recomputed — a corrupt
-   store can cost time, never correctness.
-
-   The disk tier is optionally size-bounded: [create ~max_disk_bytes]
-   caps the total bytes of .entry files, evicting least-recently-used
-   entries (by an in-process access tick; ties broken by key so the
-   victim order is deterministic). Evicted entries keep their in-memory
-   copy — LRU eviction limits the store's footprint, not this process's
-   working set. *)
+   Store model: one bounded [Lru.t] (final key -> marshalled payload),
+   optionally mirrored to [dir]/<key>.entry files. Keys digest every
+   input of the cached computation, so invalidation is free: changed
+   inputs -> changed key -> miss. The memory tier evicts its
+   least-recently-used entries past [max_bytes] (default 1 GiB), which
+   bounds a long-lived daemon's footprint. The disk mirror is unbounded
+   and self-validating (magic + key echo + payload length + payload
+   digest): an entry evicted from memory comes back from disk, and
+   anything that fails validation is removed and recomputed — a corrupt
+   store can cost time, never correctness. *)
 
 let schema_version = 3
 
@@ -24,25 +20,19 @@ type stats = {
   c_bytes_reused : int;
   c_evict_corrupt : int;
   c_evict_lru : int;
+  c_bytes : int;
+  c_entries : int;
 }
 
 type t = {
   cdir : string option;
-  max_disk : int option;
-  mem : (string, string) Hashtbl.t;
-  (* On-disk .entry accounting for the LRU bound: key -> (encoded file
-     size, last-access tick). Slots (.slot files) are deliberately not
-     tracked — they are a bounded handful of layout snapshots. *)
-  disk_entries : (string, int * int) Hashtbl.t;
-  mutable disk_total : int;
-  mutable tick : int;
+  mem : Lru.t;
   lock : Mutex.t;
   mutable hits : int;
   mutable misses : int;
   mutable stores : int;
   mutable bytes_reused : int;
   mutable evict_corrupt : int;
-  mutable evict_lru : int;
 }
 
 let rec mkdir_p d =
@@ -57,68 +47,23 @@ let slot_ext = ".slot"
 
 let file_path dir key ext = Filename.concat dir (key ^ ext)
 
-let file_size path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> in_channel_length ic)
-  with Sys_error _ -> 0
-
-let create ?dir ?max_disk_bytes () =
+let create ?dir ?max_bytes () =
   Option.iter mkdir_p dir;
-  let disk_entries = Hashtbl.create 256 in
-  let disk_total = ref 0 in
-  (* Seed the LRU table from entries already on disk (tick 0: anything
-     present before this process touched it is the coldest). *)
-  (match dir with
-  | None -> ()
-  | Some d ->
-      let names = try Array.to_list (Sys.readdir d) with Sys_error _ -> [] in
-      List.iter
-        (fun n ->
-          if Filename.check_suffix n entry_ext then begin
-            let key = Filename.chop_suffix n entry_ext in
-            let size = file_size (Filename.concat d n) in
-            Hashtbl.replace disk_entries key (size, 0);
-            disk_total := !disk_total + size
-          end)
-        (List.sort String.compare names));
   {
     cdir = dir;
-    max_disk = max_disk_bytes;
-    mem = Hashtbl.create 256;
-    disk_entries;
-    disk_total = !disk_total;
-    tick = 0;
+    mem = Lru.create ?max_bytes ();
     lock = Mutex.create ();
     hits = 0;
     misses = 0;
     stores = 0;
     bytes_reused = 0;
     evict_corrupt = 0;
-    evict_lru = 0;
   }
 
-let clone c =
-  let mem = Mutex.protect c.lock (fun () -> Hashtbl.copy c.mem) in
-  {
-    cdir = None;
-    max_disk = None;
-    mem;
-    disk_entries = Hashtbl.create 16;
-    disk_total = 0;
-    tick = 0;
-    lock = Mutex.create ();
-    hits = 0;
-    misses = 0;
-    stores = 0;
-    bytes_reused = 0;
-    evict_corrupt = 0;
-    evict_lru = 0;
-  }
+let clone c = { (create ()) with mem = Lru.copy c.mem }
 
 let stats c =
+  let m = Lru.stats c.mem in
   Mutex.protect c.lock (fun () ->
       {
         c_hits = c.hits;
@@ -126,14 +71,14 @@ let stats c =
         c_stores = c.stores;
         c_bytes_reused = c.bytes_reused;
         c_evict_corrupt = c.evict_corrupt;
-        c_evict_lru = c.evict_lru;
+        c_evict_lru = m.Lru.st_evictions;
+        c_bytes = m.Lru.st_bytes;
+        c_entries = m.Lru.st_entries;
       })
 
 let hit_rate s =
   let total = s.c_hits + s.c_misses in
   if total = 0 then 0. else float_of_int s.c_hits /. float_of_int total
-
-let dir c = c.cdir
 
 (* ------------------------------------------------------------------ *)
 (* Keys                                                                *)
@@ -222,28 +167,19 @@ let decode_entry key s =
     else None
   else None
 
-(* All disk-accounting helpers below assume [c.lock] is held. *)
-
-let disk_forget c key =
-  match Hashtbl.find_opt c.disk_entries key with
-  | Some (size, _) ->
-      Hashtbl.remove c.disk_entries key;
-      c.disk_total <- c.disk_total - size
-  | None -> ()
+(* The disk helpers below assume [c.lock] is held: it serializes the
+   tmp+rename writes and the removal of corrupt files. *)
 
 let disk_remove c key ext =
   match c.cdir with
   | None -> ()
-  | Some d ->
-      (try Sys.remove (file_path d key ext) with Sys_error _ -> ());
-      if ext = entry_ext then disk_forget c key
+  | Some d -> ( try Sys.remove (file_path d key ext) with Sys_error _ -> ())
 
 let count_evict c =
   c.evict_corrupt <- c.evict_corrupt + 1;
   if Trace.active () then Trace.incr "cache.evict_corrupt"
 
-(* Look up [key] on disk; corrupt/stale entries are removed and counted.
-   A valid .entry hit refreshes its LRU tick. Caller holds [c.lock]. *)
+(* Look up [key] on disk; corrupt/stale files are removed and counted. *)
 let disk_find c key ext =
   match c.cdir with
   | None -> None
@@ -255,107 +191,59 @@ let disk_find c key ext =
         | None -> None
         | Some s -> (
             match decode_entry key s with
-            | Some payload ->
-                if ext = entry_ext then begin
-                  c.tick <- c.tick + 1;
-                  Hashtbl.replace c.disk_entries key (String.length s, c.tick)
-                end;
-                Some payload
+            | Some _ as r -> r
             | None ->
                 disk_remove c key ext;
                 count_evict c;
                 None))
 
-(* Pick the least-recently-used on-disk entry other than [keep]: minimal
-   (tick, key) — the key tie-break makes the victim order deterministic
-   for entries seeded from a pre-existing store (all tick 0). *)
-let lru_victim c ~keep =
-  Hashtbl.fold
-    (fun key (_, tick) best ->
-      if key = keep then best
-      else
-        match best with
-        | Some (bt, bk) when (bt, bk) <= (tick, key) -> best
-        | _ -> Some (tick, key))
-    c.disk_entries None
-
 (* Best-effort atomic write: a same-directory temp file renamed into
    place, so concurrent readers never observe a torn entry. Failures
-   (read-only store, races) silently cost a future recompute. After a
-   successful .entry write, the LRU bound is enforced: coldest entries
-   lose their disk file (the in-memory copy stays) until the store fits.
-   Caller holds [c.lock]. *)
+   (read-only store, races) silently cost a future recompute. *)
 let disk_store c key payload ext =
   match c.cdir with
   | None -> ()
   | Some d -> (
       let path = file_path d key ext in
       let tmp = path ^ ".tmp" in
-      let encoded = encode_entry key payload in
-      let written =
-        try
-          let oc = open_out_bin tmp in
-          Fun.protect
-            ~finally:(fun () -> close_out_noerr oc)
-            (fun () -> output_string oc encoded);
-          Sys.rename tmp path;
-          true
-        with Sys_error _ ->
-          (try Sys.remove tmp with Sys_error _ -> ());
-          false
-      in
-      if written && ext = entry_ext then begin
-        disk_forget c key;
-        c.tick <- c.tick + 1;
-        Hashtbl.replace c.disk_entries key (String.length encoded, c.tick);
-        c.disk_total <- c.disk_total + String.length encoded;
-        match c.max_disk with
-        | None -> ()
-        | Some limit ->
-            let rec shrink () =
-              if c.disk_total > limit then
-                match lru_victim c ~keep:key with
-                | Some (_, victim) ->
-                    disk_remove c victim entry_ext;
-                    c.evict_lru <- c.evict_lru + 1;
-                    if Trace.active () then Trace.incr "cache.evict_lru";
-                    shrink ()
-                | None -> ()
-            in
-            shrink ()
-      end)
+      try
+        let oc = open_out_bin tmp in
+        Fun.protect
+          ~finally:(fun () -> close_out_noerr oc)
+          (fun () -> output_string oc (encode_entry key payload));
+        Sys.rename tmp path
+      with Sys_error _ -> ( try Sys.remove tmp with Sys_error _ -> ()))
 
 (* ------------------------------------------------------------------ *)
-(* Store operations                                                    *)
+(* Store operations, shared by entries and slots                       *)
 (* ------------------------------------------------------------------ *)
 
 (* Raw payload lookup: memory first, then disk (promoting to memory).
    No hit/miss accounting — [memo_map] counts only after the payload
    also unmarshals, so a corrupt payload ends up a miss, not a hit. *)
-let find c key =
+let find c key ext =
   Mutex.protect c.lock (fun () ->
-      match Hashtbl.find_opt c.mem key with
+      match Lru.find c.mem key with
       | Some _ as r -> r
-      | None -> (
-          match disk_find c key entry_ext with
-          | Some payload ->
-              Hashtbl.replace c.mem key payload;
-              Some payload
-          | None -> None))
+      | None ->
+          let r = disk_find c key ext in
+          Option.iter (fun payload -> ignore (Lru.add c.mem ~key payload)) r;
+          r)
 
-let store c key payload =
+(* A payload over the whole memory bound is kept on disk only. *)
+let store c key payload ext =
   Mutex.protect c.lock (fun () ->
-      Hashtbl.replace c.mem key payload;
-      disk_store c key payload entry_ext;
-      c.stores <- c.stores + 1)
+      ignore (Lru.add c.mem ~key payload);
+      disk_store c key payload ext;
+      if ext = entry_ext then c.stores <- c.stores + 1)
 
 (* Drop an entry whose payload would not unmarshal (possible only via a
    hand-crafted or cross-version disk store — the digest protects against
    corruption, not against a foreign writer with a matching digest). *)
-let evict c key =
+let evict c key ext =
   Mutex.protect c.lock (fun () ->
-      Hashtbl.remove c.mem key;
-      disk_remove c key entry_ext;
+      Lru.remove c.mem key;
+      disk_remove c key ext;
       count_evict c)
 
 let count_hit c ~stage n =
@@ -383,43 +271,25 @@ let count_miss c ~stage =
    run's layout snapshot) addressed by what it is {e for} rather than by
    its contents — so a warm run can find "the layout of this binary under
    these options" without knowing what it contains. Slots ride in the
-   same in-memory table (so [clone] carries them into warm replays) and
-   in .slot files next to the .entry tier; they are invisible to hit/miss
-   statistics, [entry_files] and the LRU bound. *)
+   same memory tier (so [clone] carries them into warm replays) and in
+   .slot files next to the .entry tier; they are invisible to hit/miss
+   statistics and [entry_files]. *)
 
 let slot_key raw = final_key ~stage:"slot" raw
 
 let find_slot (type a) c raw : a option =
   let key = slot_key raw in
-  let payload =
-    Mutex.protect c.lock (fun () ->
-        match Hashtbl.find_opt c.mem key with
-        | Some _ as r -> r
-        | None -> (
-            match disk_find c key slot_ext with
-            | Some payload ->
-                Hashtbl.replace c.mem key payload;
-                Some payload
-            | None -> None))
-  in
-  match payload with
+  match find c key slot_ext with
   | None -> None
   | Some payload -> (
       match (Marshal.from_string payload 0 : a) with
       | v -> Some v
       | exception _ ->
-          Mutex.protect c.lock (fun () ->
-              Hashtbl.remove c.mem key;
-              disk_remove c key slot_ext;
-              count_evict c);
+          evict c key slot_ext;
           None)
 
 let store_slot c raw v =
-  let key = slot_key raw in
-  let payload = Marshal.to_string v [] in
-  Mutex.protect c.lock (fun () ->
-      Hashtbl.replace c.mem key payload;
-      disk_store c key payload slot_ext)
+  store c (slot_key raw) (Marshal.to_string v []) slot_ext
 
 (* ------------------------------------------------------------------ *)
 (* memo_map                                                            *)
@@ -439,7 +309,7 @@ let memo_map (type a b) ?cache ~stage ~(key : a -> string) (f : a -> b)
           (fun x ->
             let k = final_key ~stage (key x) in
             let hit =
-              match find c k with
+              match find c k entry_ext with
               | None -> None
               | Some payload -> (
                   match (Marshal.from_string payload 0 : b) with
@@ -447,7 +317,7 @@ let memo_map (type a b) ?cache ~stage ~(key : a -> string) (f : a -> b)
                       count_hit c ~stage (String.length payload);
                       Some v
                   | exception _ ->
-                      evict c k;
+                      evict c k entry_ext;
                       None)
             in
             if Option.is_none hit then count_miss c ~stage;
@@ -465,7 +335,7 @@ let memo_map (type a b) ?cache ~stage ~(key : a -> string) (f : a -> b)
       let fresh = Hashtbl.create (List.length misses * 2) in
       List.iter2
         (fun (_, k) v ->
-          store c k (Marshal.to_string v []);
+          store c k (Marshal.to_string v []) entry_ext;
           Hashtbl.replace fresh k v)
         misses computed;
       List.map

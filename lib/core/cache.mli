@@ -12,17 +12,17 @@
 
     Two tiers share one {!t}:
 
-    - an in-process store (a mutex-protected hash table) shared safely
-      across the daemon's executor domains, and
-    - an opt-in on-disk store ([create ~dir]) with a versioned entry
-      format. Corrupt, truncated or version-skewed entries degrade to a
-      miss — never an error, never wrong bytes — and are evicted
-      (counted in [c_evict_corrupt] / the [cache.evict_corrupt] trace
-      counter). The disk tier can be size-bounded
-      ([create ~max_disk_bytes]): once the total size of on-disk entries
-      exceeds the bound, least-recently-used entries lose their disk file
-      (counted in [c_evict_lru] / [cache.evict_lru]) while keeping their
-      in-memory copy.
+    - an in-memory tier, one {!Lru.t} bounded by [create ~max_bytes]
+      (default 1 GiB) and shared safely across the daemon's executor
+      domains: past the bound, least-recently-used entries are evicted
+      (counted in [c_evict_lru] / the daemon's [cache.evict_lru]), so a
+      long-lived daemon's cache stays inside its memory bound, and
+    - an opt-in on-disk mirror ([create ~dir]) with a versioned,
+      self-validating entry format. It is unbounded: an entry evicted
+      from memory comes back from disk as a hit. Corrupt, truncated or
+      version-skewed entries degrade to a miss — never an error, never
+      wrong bytes — and are evicted (counted in [c_evict_corrupt] / the
+      [cache.evict_corrupt] trace counter).
 
     Observation safety: {!memo_map} computes keys, performs lookups and
     stores results in input order, so hit/miss counts are a function of
@@ -36,20 +36,16 @@ val schema_version : int
 
 type t
 
-val create : ?dir:string -> ?max_disk_bytes:int -> unit -> t
-(** In-memory cache; with [dir], also backed by an on-disk store rooted
-    there (created, including parents, if missing). With
-    [max_disk_bytes], the on-disk tier is LRU-bounded: entries already
-    present in [dir] are accounted as coldest, and every store that
-    pushes the total over the bound evicts least-recently-used disk
-    files (deterministically: minimal access tick, ties by key) until it
-    fits again. Eviction removes only the disk file — the in-memory copy
-    is kept. *)
+val create : ?dir:string -> ?max_bytes:int -> unit -> t
+(** Cache whose memory tier holds at most [max_bytes] payload bytes
+    (default 1 GiB); with [dir], also mirrored to an on-disk store
+    rooted there (created, including parents, if missing). *)
 
 val clone : t -> t
 (** Snapshot: a new cache sharing nothing with [t] but pre-populated with
-    its current in-memory entries, with zeroed statistics and {e no}
-    on-disk tier. Lets benchmarks replay a warm cache without re-warming. *)
+    its current in-memory entries (same bound, same access order), with
+    zeroed statistics and {e no} on-disk tier. Lets benchmarks replay a
+    warm cache without re-warming. *)
 
 type stats = {
   c_hits : int;
@@ -57,7 +53,9 @@ type stats = {
   c_stores : int;
   c_bytes_reused : int;  (** marshalled payload bytes served from cache *)
   c_evict_corrupt : int;  (** on-disk entries dropped as corrupt/stale *)
-  c_evict_lru : int;  (** on-disk entries dropped by the size bound *)
+  c_evict_lru : int;  (** memory-tier entries dropped by the size bound *)
+  c_bytes : int;  (** memory-tier footprint: payload bytes, slots included *)
+  c_entries : int;  (** memory-tier entries, slots included *)
 }
 
 val stats : t -> stats
@@ -65,8 +63,6 @@ val stats : t -> stats
 val hit_rate : stats -> float
 (** [c_hits / (c_hits + c_misses)] in [0, 1]; [0.] when no lookups have
     happened. Deterministic, like the underlying counters. *)
-
-val dir : t -> string option
 
 (** {1 Key construction}
 
@@ -111,12 +107,12 @@ val entry_files : t -> string list
     A slot is a small side value addressed by what it is {e for} rather
     than by its contents — e.g. "the previous layout of this binary
     under these options" — so a warm run can load last run's result and
-    overwrite it with this run's. Slots live in the shared in-memory
-    table (so {!clone} carries them into warm replays) and in [.slot]
-    files next to the entry tier; they do not participate in hit/miss
-    statistics, {!entry_files} or the LRU bound. A slot that fails to
-    unmarshal (foreign writer, cross-version store) reads as absent and
-    is evicted, counted in [c_evict_corrupt]. *)
+    overwrite it with this run's. Slots live in the shared memory tier
+    (so {!clone} carries them into warm replays, and the bound may evict
+    them) and in [.slot] files next to the entry tier; they do not
+    participate in hit/miss statistics or {!entry_files}. A slot that
+    fails to unmarshal (foreign writer, cross-version store) reads as
+    absent and is evicted, counted in [c_evict_corrupt]. *)
 
 val find_slot : t -> string -> 'a option
 (** [find_slot c raw] is the value last stored under [raw], if any.

@@ -16,7 +16,9 @@ module Matrix = Icfg_harness.Matrix
    [Trace.with_current] — per-domain ambient traces are what keeps two
    concurrent requests' counters from bleeding into each other. One
    [Cache.t] is shared across every request for the life of the daemon:
-   cross-request reuse is the point of serving.
+   cross-request reuse is the point of serving. Its memory tier, the
+   binary store and the response memo are all bounded [Lru.t]s, so the
+   daemon's caches stay within their bounds on any request stream.
 
    Crash containment: the request body catches everything and returns a
    typed [Error] response; the accept loop and connection loops never
@@ -33,7 +35,7 @@ module Matrix = Icfg_harness.Matrix
    daemon still answers, and a scrape never touches the request queue,
    the cache, or any per-request state it is observing.
 
-   Incremental protocol (DESIGN §15): two bounded [Store.t]s make the
+   Incremental protocol (DESIGN §15): two [Store.t]s make the
    service boundary incremental. The *binary store* holds registered
    Binfile bytes content-addressed by digest, so [Ref]/[Patch] payloads
    ship a handle or a sparse delta instead of the binary; payload
@@ -90,8 +92,6 @@ let scheduler t = t.sched
 let sock_path t = t.sock_path
 let metrics t = t.registry
 let flight t = t.fl
-let store t = t.store
-let response_memo t = t.memo
 
 (* Registry snapshot + the shared cache's/stores' lifetime counters (each
    keeps its own stats; mirroring them per-lookup would double-count). *)
@@ -122,6 +122,8 @@ let snapshot t =
         ];
       Metrics.s_gauges =
         [
+          ("cache.bytes", cs.Cache.c_bytes);
+          ("cache.entries", cs.Cache.c_entries);
           ("response_cache.bytes", ms.Store.st_bytes);
           ("response_cache.entries", ms.Store.st_entries);
           ("store.bytes", ss.Store.st_bytes);

@@ -41,9 +41,9 @@ val start :
 (** Bind a Unix socket at [path] (an existing file is replaced), spawn
     the accept thread and [workers] executor domains (default 2).
     [bound] (default 64) is the request-queue bound. [cache] (default:
-    fresh) is the shared cross-request cache. [flight] (default: fresh
-    with default bounds) is the flight recorder — injectable so tests can
-    shrink the bounds.
+    fresh, so its memory tier is bounded at 1 GiB) is the shared
+    cross-request cache. [flight] (default: fresh with default bounds)
+    is the flight recorder — injectable so tests can shrink the bounds.
 
     Incremental-protocol knobs: [max_frame] (default
     {!Protocol.max_frame}, clamped to it) bounds accepted request
@@ -83,24 +83,14 @@ val metrics : t -> Icfg_core.Metrics.t
 
 val flight : t -> Flight.t
 
-val store : t -> Store.t
-(** The content-addressed binary store behind [Register]/[Ref]/[Patch]. *)
-
-val response_memo : t -> Store.t
-(** The whole-response memo: (kind, approach, input digest) → first
-    pipeline response's encoded payload. Replays answer
-    from here on the connection thread, byte-identical, without entering
-    the scheduler. Memo hits count as served requests and reach the
-    flight recorder, but fold no [trace.*]/[stage.*] telemetry — there
-    was no pipeline run to observe. *)
-
 val snapshot : t -> Icfg_core.Metrics.snapshot
 (** What a [Stats] frame answers: the registry snapshot merged with the
     shared cache's lifetime counters ([cache.hits], [cache.misses],
     [cache.stores], [cache.bytes_reused], [cache.evict_corrupt],
-    [cache.evict_lru]), the binary store's ([store.hits], [store.misses],
-    [store.stores], [store.evict_lru], [store.rejected] + [store.bytes]
-    / [store.entries] gauges) and the response memo's, mirrored as
-    [response_cache.hit], [response_cache.miss], [response_cache.stores],
-    [response_cache.evict_lru] + [response_cache.bytes] /
-    [response_cache.entries] gauges. *)
+    [cache.evict_lru] + the memory tier's [cache.bytes] /
+    [cache.entries] gauges), the binary store's ([store.hits],
+    [store.misses], [store.stores], [store.evict_lru], [store.rejected]
+    + [store.bytes] / [store.entries] gauges) and the response memo's,
+    mirrored as [response_cache.hit], [response_cache.miss],
+    [response_cache.stores], [response_cache.evict_lru] +
+    [response_cache.bytes] / [response_cache.entries] gauges. *)

@@ -1,6 +1,7 @@
 (* The content-addressed cache: key construction, the memo_map
-   contract, clone semantics, fault tolerance of the on-disk tier, and
-   the pipeline-level guarantees — cached rewrites are byte-identical to
+   contract, clone semantics, fault tolerance of the on-disk tier, the
+   one bounded LRU behind the memory tier (and a daemon soak under small
+   bounds), and the pipeline-level guarantees — cached rewrites are byte-identical to
    uncached ones, and an edit invalidates exactly the entries it touches.
    A corrupt, truncated, version-skewed or hand-forged entry must degrade
    to a silent miss with a correct rewrite and a counted eviction; it
@@ -196,64 +197,196 @@ let disk_forged_payload () =
            ]))
 
 (* ------------------------------------------------------------------ *)
-(* Disk-tier size bound (LRU)                                          *)
+(* The one LRU and the bounded memory tier                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Payloads dwarf the per-entry framing, so "how many entries fit" is
-   easy to pin: a bound of three payloads holds exactly the three most
-   recently stored of eight. Eviction loses only the disk file — the
-   in-memory copies keep serving — and a fresh cache over the directory
-   misses exactly the five oldest. *)
-let disk_lru_bound () =
-  with_temp_dir (fun dir ->
-      let calls = ref [] in
-      let f x =
-        calls := x :: !calls;
-        String.make 2048 (Char.chr (x land 0xff))
-      in
-      let key x = Cache.dval x in
-      let xs = List.init 8 (fun i -> i) in
-      let c = Cache.create ~dir ~max_disk_bytes:(3 * 2200) () in
-      ignore (Cache.memo_map ~cache:c ~stage:"t" ~key f xs);
-      let s = Cache.stats c in
-      Alcotest.(check int) "evictions counted" 5 s.Cache.c_evict_lru;
-      Alcotest.(check int) "bound holds three disk entries" 3
-        (List.length (Cache.entry_files c));
-      (* The in-memory tier kept every evicted entry. *)
-      calls := [];
-      ignore (Cache.memo_map ~cache:c ~stage:"t" ~key f xs);
-      Alcotest.(check (list int)) "warm run recomputes nothing" [] !calls;
-      Alcotest.(check int) "warm run all hits" 8 (Cache.stats c).Cache.c_hits;
-      (* A fresh cache sees only the survivors: the five oldest stores
-         lost their files and recompute. *)
-      let c2 = Cache.create ~dir () in
-      ignore (Cache.memo_map ~cache:c2 ~stage:"t" ~key f xs);
-      let s2 = Cache.stats c2 in
-      Alcotest.(check int) "survivors hit" 3 s2.Cache.c_hits;
-      Alcotest.(check int) "evicted miss" 5 s2.Cache.c_misses;
-      Alcotest.(check (list int)) "victims were the oldest" [ 0; 1; 2; 3; 4 ]
-        (List.sort compare !calls))
+module Lru = Icfg_core.Lru
 
-(* A disk hit refreshes the entry's LRU tick: entries seeded from a
-   pre-existing store are all equally cold, and touching one protects it
-   from the next eviction. *)
-let disk_lru_refresh () =
+(* The victim is the least-recently *accessed* entry, not the oldest
+   insert: a [find] refreshes, a miss does not. *)
+let lru_victim_order () =
+  let l = Lru.create ~max_bytes:30 () in
+  List.iter
+    (fun k -> assert (Lru.add l ~key:k (String.make 10 'x')))
+    [ "a"; "b"; "c" ];
+  ignore (Lru.find l "a");
+  ignore (Lru.find l "zz");
+  assert (Lru.add l ~key:"d" (String.make 10 'y'));
+  Alcotest.(check bool) "b, the coldest, went first" true
+    (Lru.find l "b" = None);
+  assert (Lru.add l ~key:"e" (String.make 10 'z'));
+  Alcotest.(check bool) "then c" true (Lru.find l "c" = None);
+  List.iter
+    (fun k -> Alcotest.(check bool) (k ^ " kept") true (Lru.find l k <> None))
+    [ "a"; "d"; "e" ];
+  let s = Lru.stats l in
+  Alcotest.(check int) "two evictions" 2 s.Lru.st_evictions;
+  Alcotest.(check int) "misses: zz, b, c" 3 s.Lru.st_misses;
+  Alcotest.(check int) "hits: a, then a d e" 4 s.Lru.st_hits;
+  (* [copy] keeps entries and access order but shares nothing. *)
+  let k = Lru.copy l in
+  Alcotest.(check int) "copy starts with zero counters" 0
+    (Lru.stats k).Lru.st_hits;
+  assert (Lru.add k ~key:"f" "0123456789");
+  Alcotest.(check bool) "copy evicted its coldest (a)" true
+    (Lru.find k "a" = None);
+  Alcotest.(check bool) "original untouched" true (Lru.find l "a" <> None);
+  Alcotest.(check int) "original still holds three" 3
+    (Lru.stats l).Lru.st_entries
+
+(* A value over the whole capacity is refused and evicts nothing. *)
+let lru_refusal () =
+  let l = Lru.create ~max_bytes:16 () in
+  assert (Lru.add l ~key:"a" "12345678");
+  Alcotest.(check bool) "over capacity refused" false
+    (Lru.add l ~key:"big" (String.make 17 'x'));
+  Alcotest.(check bool) "exactly the capacity fits" true
+    (Lru.add l ~key:"full" (String.make 16 'x'));
+  let s = Lru.stats l in
+  Alcotest.(check int) "one rejection" 1 s.Lru.st_rejected;
+  Alcotest.(check int) "the fit evicted a" 1 s.Lru.st_evictions;
+  Alcotest.(check int) "footprint" 16 s.Lru.st_bytes
+
+(* Re-adding a key replaces its value: the footprint counts the new
+   bytes once, and a same-key re-add never evicts another entry. *)
+let lru_readd_exact () =
+  let l = Lru.create ~max_bytes:20 () in
+  assert (Lru.add l ~key:"a" "0123456789");
+  assert (Lru.add l ~key:"b" "0123456789");
+  assert (Lru.add l ~key:"a" "0123456789");
+  assert (Lru.add l ~key:"b" "012");
+  let s = Lru.stats l in
+  Alcotest.(check int) "footprint exact" 13 s.Lru.st_bytes;
+  Alcotest.(check int) "two entries" 2 s.Lru.st_entries;
+  Alcotest.(check int) "no evictions" 0 s.Lru.st_evictions;
+  Alcotest.(check (option string)) "replaced value" (Some "012")
+    (Lru.find l "b");
+  Lru.remove l "a";
+  Alcotest.(check int) "remove frees its bytes" 3 (Lru.stats l).Lru.st_bytes
+
+(* Against a naive reference — a list of (key, size, last tick),
+   victims by a linear minimum search — under random adds, finds and
+   removes over a few keys: the same answers, the same survivors and
+   the same eviction count after every step. *)
+let lru_matches_model =
+  QCheck2.Test.make ~count:300 ~name:"lru: matches a naive model"
+    QCheck2.Gen.(
+      list_size (int_range 1 60)
+        (triple (int_range 0 2) (int_range 0 5) (int_range 0 12)))
+    (fun ops ->
+      let cap = 24 in
+      let l = Lru.create ~max_bytes:cap () in
+      let model = ref [] and tick = ref 0 and evictions = ref 0 in
+      let stamp () =
+        incr tick;
+        !tick
+      in
+      let total () = List.fold_left (fun a (_, n, _) -> a + n) 0 !model in
+      let drop k = model := List.filter (fun (k', _, _) -> k' <> k) !model in
+      let rec evict need =
+        if total () + need > cap then
+          match List.sort (fun (_, _, a) (_, _, b) -> compare a b) !model with
+          | (k, _, _) :: _ ->
+              drop k;
+              incr evictions;
+              evict need
+          | [] -> ()
+      in
+      List.for_all
+        (fun (op, k, n) ->
+          let key = string_of_int k in
+          let same =
+            match op with
+            | 0 ->
+                let want = n <= cap in
+                if want then begin
+                  drop key;
+                  evict n;
+                  model := (key, n, stamp ()) :: !model
+                end;
+                Lru.add l ~key (String.make n 'v') = want
+            | 1 ->
+                let want =
+                  List.exists (fun (k', _, _) -> k' = key) !model
+                in
+                if want then
+                  model :=
+                    List.map
+                      (fun ((k', n', _) as e) ->
+                        if k' = key then (k', n', stamp ()) else e)
+                      !model;
+                (Lru.find l key <> None) = want
+            | _ ->
+                drop key;
+                Lru.remove l key;
+                true
+          in
+          let s = Lru.stats l in
+          same
+          && s.Lru.st_entries = List.length !model
+          && s.Lru.st_bytes = total ()
+          && s.Lru.st_evictions = !evictions)
+        ops)
+
+(* Payloads dwarf the marshal framing, so "how many entries fit" is easy
+   to pin: a bound of three payloads holds exactly the three most
+   recently stored of eight, within the bound. Without a disk tier the
+   five oldest recompute; with one, the disk mirror (unbounded) answers
+   every evicted entry as a hit. *)
+let memory_lru_bound () =
+  let calls = ref [] in
+  let f x =
+    calls := x :: !calls;
+    String.make 2048 (Char.chr (x land 0xff))
+  in
+  let key x = Cache.dval x in
+  let xs = List.init 8 (fun i -> i) in
+  let bound = 3 * 2200 in
+  let fill c =
+    ignore (Cache.memo_map ~cache:c ~stage:"t" ~key f xs);
+    let s = Cache.stats c in
+    Alcotest.(check int) "evictions counted" 5 s.Cache.c_evict_lru;
+    Alcotest.(check int) "bound holds three entries" 3 s.Cache.c_entries;
+    Alcotest.(check bool) "footprint within the bound" true
+      (s.Cache.c_bytes <= bound);
+    calls := []
+  in
+  let c = Cache.create ~max_bytes:bound () in
+  fill c;
+  ignore (Cache.memo_map ~cache:c ~stage:"t" ~key f xs);
+  Alcotest.(check (list int)) "victims were the oldest" [ 0; 1; 2; 3; 4 ]
+    (List.sort compare !calls);
+  Alcotest.(check int) "survivors hit" 3 (Cache.stats c).Cache.c_hits;
   with_temp_dir (fun dir ->
-      let f x = String.make 2048 (Char.chr (x land 0xff)) in
-      let key x = Cache.dval x in
-      let seed = Cache.create ~dir () in
-      ignore (Cache.memo_map ~cache:seed ~stage:"t" ~key f [ 0; 1; 2 ]);
-      let c = Cache.create ~dir ~max_disk_bytes:(3 * 2200) () in
-      (* Disk hit on item 0: its tick is now newer than the other seeds. *)
-      ignore (Cache.memo_map ~cache:c ~stage:"t" ~key f [ 0 ]);
-      (* A fourth store overflows the bound; the victim must be one of
-         the untouched seeds. *)
-      ignore (Cache.memo_map ~cache:c ~stage:"t" ~key f [ 3 ]);
-      Alcotest.(check int) "one eviction" 1 (Cache.stats c).Cache.c_evict_lru;
-      let c2 = Cache.create ~dir () in
-      ignore (Cache.memo_map ~cache:c2 ~stage:"t" ~key f [ 0 ]);
-      Alcotest.(check int) "the touched seed survived" 1
-        (Cache.stats c2).Cache.c_hits)
+      let c = Cache.create ~dir ~max_bytes:bound () in
+      fill c;
+      Alcotest.(check int) "disk mirror holds all eight" 8
+        (List.length (Cache.entry_files c));
+      ignore (Cache.memo_map ~cache:c ~stage:"t" ~key f xs);
+      Alcotest.(check (list int)) "evicted entries come back from disk" []
+        !calls;
+      Alcotest.(check int) "all hits" 8 (Cache.stats c).Cache.c_hits;
+      Alcotest.(check bool) "still within the bound" true
+        ((Cache.stats c).Cache.c_bytes <= bound))
+
+(* A hit refreshes the entry's LRU tick: touching the oldest entry
+   protects it from the next eviction. *)
+let memory_lru_refresh () =
+  let calls = ref [] in
+  let f x =
+    calls := x :: !calls;
+    String.make 2048 (Char.chr (x land 0xff))
+  in
+  let key x = Cache.dval x in
+  let c = Cache.create ~max_bytes:(3 * 2200) () in
+  ignore (Cache.memo_map ~cache:c ~stage:"t" ~key f [ 0; 1; 2 ]);
+  ignore (Cache.memo_map ~cache:c ~stage:"t" ~key f [ 0 ]);
+  ignore (Cache.memo_map ~cache:c ~stage:"t" ~key f [ 3 ]);
+  Alcotest.(check int) "one eviction" 1 (Cache.stats c).Cache.c_evict_lru;
+  calls := [];
+  ignore (Cache.memo_map ~cache:c ~stage:"t" ~key f [ 0; 2; 1 ]);
+  Alcotest.(check (list int)) "only the untouched oldest recomputes" [ 1 ]
+    !calls
 
 (* ------------------------------------------------------------------ *)
 (* Slots                                                               *)
@@ -496,14 +629,16 @@ let serve_twin_hits () =
   Alcotest.(check int) "twin hits everything the source stored"
     (get c_src "cache.miss") (get c_twin "cache.hit")
 
-(* The LRU disk bound holds while requests are in flight: concurrent
+(* The memory-tier bound holds while requests are in flight: concurrent
    requests store through the daemon's shared disk-backed cache, and
-   when the dust settles the entry tier is within the bound with the
-   evictions counted — no request ever saw an error. *)
+   when the dust settles the tier is within the bound with the
+   evictions counted — no request ever saw an error. A second round of
+   the same requests (the response memo is off, so each one runs the
+   pipeline) misses nothing: every evicted entry comes back from disk. *)
 let serve_lru_eviction () =
   with_temp_dir @@ fun dir ->
-  let bound = 64 * 1024 in
-  let cache = Cache.create ~dir ~max_disk_bytes:bound () in
+  let bound = 32 * 1024 in
+  let cache = Cache.create ~dir ~max_bytes:bound () in
   let bins =
     List.map
       (fun arch ->
@@ -511,33 +646,110 @@ let serve_lru_eviction () =
         fst (Icfg_workloads.Spec_suite.compile arch b))
       Icfg_isa.Arch.all
   in
-  Test_serve.with_server ~workers:2 ~cache () @@ fun srv path ->
-  let threads =
-    List.map
-      (fun bin ->
-        Thread.create
-          (fun () ->
-            Client.with_connection path @@ fun c ->
-            ignore
-              (rewritten_counters ~what:"in-flight rewrite"
-                 (Client.rewrite c ~approach:"ours/jt" bin)))
-          ())
-      bins
+  Test_serve.with_server ~workers:2 ~cache ~memo_bytes:1 () @@ fun srv path ->
+  let round () =
+    List.iter Thread.join
+      (List.map
+         (fun bin ->
+           Thread.create
+             (fun () ->
+               Client.with_connection path @@ fun c ->
+               ignore
+                 (rewritten_counters ~what:"in-flight rewrite"
+                    (Client.rewrite c ~approach:"ours/jt" bin)))
+             ())
+         bins)
   in
-  List.iter Thread.join threads;
+  round ();
   let st = Server.stats srv in
   Alcotest.(check int) "no error responses" 0 st.Server.errors;
   let cstats = Cache.stats (Server.cache srv) in
   Alcotest.(check bool) "evictions happened under service" true
     (cstats.Cache.c_evict_lru > 0);
-  let disk_bytes =
-    List.fold_left
-      (fun acc f -> acc + (Unix.stat f).Unix.st_size)
-      0 (Cache.entry_files cache)
-  in
   Alcotest.(check bool)
-    (Printf.sprintf "disk entry tier within bound (%d <= %d)" disk_bytes bound)
-    true (disk_bytes <= bound)
+    (Printf.sprintf "memory tier within bound (%d <= %d)" cstats.Cache.c_bytes
+       bound)
+    true
+    (cstats.Cache.c_bytes <= bound);
+  round ();
+  let again = Cache.stats cache in
+  Alcotest.(check int) "second round: no error responses" 0
+    (Server.stats srv).Server.errors;
+  Alcotest.(check int) "second round: evicted entries are disk hits"
+    cstats.Cache.c_misses again.Cache.c_misses;
+  Alcotest.(check bool) "second round: still within bound" true
+    (again.Cache.c_bytes <= bound)
+
+(* Soak: one daemon classifies a stream of distinct corpus binaries
+   under small bounds on all three of its LRUs (the cache's memory tier,
+   the binary store and the response memo). At every scrape each stays
+   within its bound; by the end each has evicted; no request errs; and
+   every classification equals the in-process cell. Starved shapes
+   (tens of MiB each, all bulk) and twins (byte-identical to an earlier
+   entry) are left out so the stream is distinct, ordinary traffic. *)
+let soak_bounded_daemon () =
+  let cache_bytes = 2 * 1024 * 1024
+  and store_bytes = 1024 * 1024
+  and memo_bytes = 64 * 1024 in
+  let entries =
+    List.filter
+      (fun e ->
+        e.Corpus.e_twin_of = None && e.Corpus.e_shape <> Corpus.Starved)
+      (Corpus.generate ~seed:7 ~count:300)
+  in
+  let bins = List.map Corpus.build entries in
+  let digests = List.sort_uniq compare (List.map Corpus.digest bins) in
+  Alcotest.(check bool)
+    (Printf.sprintf "at least 200 distinct binaries (%d)" (List.length digests))
+    true
+    (List.length digests >= 200);
+  let cache = Cache.create ~max_bytes:cache_bytes () in
+  Test_serve.with_server ~workers:2 ~cache ~store_bytes ~memo_bytes ()
+  @@ fun _srv path ->
+  let check_bounds what =
+    let snap, _ = Test_serve.scrape path in
+    let gauge n =
+      Option.value ~default:0 (Icfg_core.Metrics.find_gauge snap n)
+    in
+    List.iter
+      (fun (n, bound) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s %d <= %d" what n (gauge n) bound)
+          true
+          (gauge n <= bound))
+      [
+        ("cache.bytes", cache_bytes);
+        ("store.bytes", store_bytes);
+        ("response_cache.bytes", memo_bytes);
+      ];
+    snap
+  in
+  Client.with_connection path (fun c ->
+      List.iteri
+        (fun i bin ->
+          let orig = Runner.run_original bin in
+          let _, want =
+            Icfg_harness.Matrix.eval_cell ~orig ~approach:"ours/dir" bin
+          in
+          (match Client.classify c ~approach:"ours/dir" bin with
+          | Ok (Protocol.Classified { cls; _ }) ->
+              Alcotest.(check string)
+                (Printf.sprintf "binary %d: daemon = in-process" i)
+                (Icfg_harness.Matrix.cls_to_string want)
+                (Icfg_harness.Matrix.cls_to_string cls)
+          | Ok r ->
+              Alcotest.failf "binary %d: %s" i (Test_serve.response_label r)
+          | Error m -> Alcotest.failf "binary %d: transport error %s" i m);
+          if i mod 25 = 24 then
+            ignore (check_bounds (Printf.sprintf "after %d" (i + 1))))
+        bins);
+  let snap = check_bounds "final" in
+  let counter = Test_serve.counter snap in
+  Alcotest.(check int) "no error responses" 0 (counter "serve.errors");
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (n ^ " counted") true (counter n > 0))
+    [ "cache.evict_lru"; "store.evict_lru"; "response_cache.evict_lru" ]
 
 let suite =
   [
@@ -554,8 +766,15 @@ let suite =
         Alcotest.test_case "disk: empty entry" `Quick disk_empty;
         Alcotest.test_case "disk: version skew" `Quick disk_version_skew;
         Alcotest.test_case "disk: forged payload" `Quick disk_forged_payload;
-        Alcotest.test_case "disk: LRU size bound" `Quick disk_lru_bound;
-        Alcotest.test_case "disk: LRU hit refresh" `Quick disk_lru_refresh;
+        Alcotest.test_case "lru: victim order by access" `Quick
+          lru_victim_order;
+        Alcotest.test_case "lru: refusal over capacity" `Quick lru_refusal;
+        Alcotest.test_case "lru: re-add keeps footprint exact" `Quick
+          lru_readd_exact;
+        QCheck_alcotest.to_alcotest lru_matches_model;
+        Alcotest.test_case "memory: LRU size bound, disk backs evictions"
+          `Quick memory_lru_bound;
+        Alcotest.test_case "memory: LRU hit refresh" `Quick memory_lru_refresh;
         Alcotest.test_case "slots: round-trip, clone, corruption" `Quick
           slot_battery;
         Alcotest.test_case "cached = uncached, cold and warm" `Quick
@@ -571,5 +790,7 @@ let suite =
           serve_twin_hits;
         Alcotest.test_case "serve: LRU bound under in-flight requests" `Quick
           serve_lru_eviction;
+        Alcotest.test_case "serve: soak under bounded cache, store and memo"
+          `Slow soak_bounded_daemon;
       ] );
   ]

@@ -146,6 +146,8 @@ let test_hit_rate () =
       c_bytes_reused = 0;
       c_evict_corrupt = 0;
       c_evict_lru = 0;
+      c_bytes = 0;
+      c_entries = 0;
     }
   in
   Alcotest.(check (float 1e-9)) "no lookups" 0.
