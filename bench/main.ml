@@ -259,14 +259,12 @@ let write_json path =
   (match !corpus_result with
   | Some m ->
       let module Matrix = Icfg_harness.Matrix in
-      let module Cache = Icfg_core.Cache in
       out "  \"corpus_seed\": %d,\n" m.Matrix.m_seed;
       out "  \"corpus_count\": %d,\n" m.Matrix.m_count;
       out
-        "  \"corpus_cache\": {\"hits\": %d, \"misses\": %d, \"stores\": %d, \
+        "  \"corpus_cache\": {\"hits\": %d, \"misses\": %d, \
          \"hit_rate_pct\": %s},\n"
-        m.Matrix.m_cache.Cache.c_hits m.Matrix.m_cache.Cache.c_misses
-        m.Matrix.m_cache.Cache.c_stores
+        m.Matrix.m_hits m.Matrix.m_misses
         (json_float (100. *. m.Matrix.m_hit_rate));
       out "  \"corpus\": [\n";
       let rows = m.Matrix.m_rows in
@@ -365,23 +363,15 @@ let run_cache_micro () =
   let fingerprint (rw : Icfg_core.Rewriter.t) =
     Digest.to_hex (Digest.string (Marshal.to_string rw.Icfg_core.Rewriter.rw_binary []))
   in
-  let counters_of c =
-    let s = Cache.stats c in
-    [
-      ("hits", s.Cache.c_hits);
-      ("misses", s.Cache.c_misses);
-      ("stores", s.Cache.c_stores);
-      ("bytes_reused", s.Cache.c_bytes_reused);
-      ("evict_corrupt", s.Cache.c_evict_corrupt);
-      ("evict_lru", s.Cache.c_evict_lru);
-    ]
-  in
-  (* Representative runs execute under a private trace so the row also
-     records per-stage miss counters ("miss:parse/pass1", ...): the
-     warm-data-edit row gates on text-stage misses staying exactly zero. *)
-  let with_misses f =
+  (* Representative runs execute under a private trace, which counts the
+     row's hits, misses and bytes reused and its per-stage misses
+     ("miss:parse/pass1", ...): the warm-data-edit row gates on
+     text-stage misses staying exactly zero. The cache adds its
+     evictions. *)
+  let with_counters c f =
     let t = Icfg_core.Trace.create () in
     let r = Icfg_core.Trace.with_current t f in
+    let get k = Option.value ~default:0 (Icfg_core.Trace.find_counter t k) in
     let prefix = "cache.miss:" in
     let n = String.length prefix in
     let misses =
@@ -393,7 +383,14 @@ let run_cache_micro () =
              else None)
            (Icfg_core.Trace.counters t))
     in
-    (r, misses)
+    ( r,
+      [
+        ("hits", get "cache.hit");
+        ("misses", get "cache.miss");
+        ("bytes_reused", get "cache.bytes_reused");
+        ("evict_lru", (Cache.stats c).Cache.c_evict_lru);
+      ]
+      @ misses )
   in
   let row name ~reps ~counters run =
     ignore (Sys.opaque_identity (run ()));
@@ -421,9 +418,9 @@ let run_cache_micro () =
   in
   let cold_counters =
     let c = Cache.create () in
-    let rw, misses = with_misses (fun () -> rewrite ~cache:c bin) in
+    let rw, counters = with_counters c (fun () -> rewrite ~cache:c bin) in
     check "cache-cold-rewrite" rw;
-    counters_of c @ misses
+    counters
   in
   let cold =
     row "cache-cold-rewrite" ~reps:20 ~counters:cold_counters (fun () ->
@@ -431,9 +428,9 @@ let run_cache_micro () =
   in
   let warm_counters =
     let c = Cache.clone warm in
-    let rw, misses = with_misses (fun () -> rewrite ~cache:c bin) in
+    let rw, counters = with_counters c (fun () -> rewrite ~cache:c bin) in
     check "cache-warm-identical" rw;
-    counters_of c @ misses
+    counters
   in
   let warm_ns =
     row "cache-warm-identical" ~reps:20 ~counters:warm_counters (fun () ->
@@ -447,10 +444,10 @@ let run_cache_micro () =
     let edited_fp = fingerprint (rewrite pbin) in
     let counters =
       let c = Cache.clone warm in
-      let rw, misses = with_misses (fun () -> rewrite ~cache:c pbin) in
+      let rw, counters = with_counters c (fun () -> rewrite ~cache:c pbin) in
       if fingerprint rw <> edited_fp then
         Printf.printf "  WARNING: %s output differs from uncached\n%!" name;
-      counters_of c @ misses
+      counters
     in
     row name ~reps:20 ~counters (fun () ->
         rewrite ~cache:(Cache.clone warm) pbin)
@@ -481,7 +478,6 @@ let run_cache_micro () =
 let run_serve_micro () =
   print_endline "== Rewrite-as-a-service: daemon request streams ==";
   let module Sweep = Icfg_service.Sweep in
-  let module Cache = Icfg_core.Cache in
   List.iter
     (fun clients ->
       let r = Sweep.run ~seed:7 ~count:12 ~clients () in
@@ -494,8 +490,8 @@ let run_serve_micro () =
           ("requests", r.Sweep.sw_requests);
           ("overloaded", r.Sweep.sw_overloaded);
           ("errors", r.Sweep.sw_errors);
-          ("hits", r.Sweep.sw_cache.Cache.c_hits);
-          ("misses", r.Sweep.sw_cache.Cache.c_misses);
+          ("hits", r.Sweep.sw_hits);
+          ("misses", r.Sweep.sw_misses);
           ("hit_rate_pct", int_of_float (100. *. r.Sweep.sw_hit_rate));
           (* milli-rps: an integer counter that keeps the fraction a
              plain [rps] int would truncate (4.73 req/s used to round
@@ -523,7 +519,7 @@ let run_serve_micro () =
         [
           "serve.requests"; "serve.overloaded"; "serve.errors";
           "serve.needfull"; "serve.rejected";
-          "cache.evict_corrupt"; "cache.evict_lru";
+          "cache.evict_lru";
         ]
         @ (if clients = 1 then
              [ "sched.jobs"; "response_cache.hit"; "response_cache.miss" ]
@@ -568,8 +564,8 @@ let run_serve_micro () =
         "  %-18s %12.0f ns/request  %7.1f req/s  (%d requests, %d \
          overloaded, %d errors, cache %d/%d = %.1f%% hits)\n%!"
         name ns_per_request r.Sweep.sw_rps r.Sweep.sw_requests
-        r.Sweep.sw_overloaded r.Sweep.sw_errors r.Sweep.sw_cache.Cache.c_hits
-        (r.Sweep.sw_cache.Cache.c_hits + r.Sweep.sw_cache.Cache.c_misses)
+        r.Sweep.sw_overloaded r.Sweep.sw_errors r.Sweep.sw_hits
+        (r.Sweep.sw_hits + r.Sweep.sw_misses)
         (100. *. r.Sweep.sw_hit_rate);
       List.iter
         (fun (k, h) ->
@@ -609,7 +605,6 @@ let run_serve_incremental_micro () =
   let module Protocol = Icfg_service.Protocol in
   let module Store = Icfg_service.Store in
   let module Binfile = Icfg_obj.Binfile in
-  let module Cache = Icfg_core.Cache in
   let module M = Icfg_core.Metrics in
   let sock tag =
     Filename.concat
@@ -759,25 +754,19 @@ let run_serve_incremental_micro () =
   (* Pass 1 (untimed): compute every response once through the pipeline;
      the full uploads register every binary as a side effect. *)
   let pass1 = List.map (raw_call (fun s _ -> Protocol.Full s)) items in
-  let hits0 =
-    Option.value ~default:0
-      (M.find_counter (Server.snapshot srv) "response_cache.hit")
+  let counter k =
+    Option.value ~default:0 (M.find_counter (Server.snapshot srv) k)
   in
-  let pipeline_misses0 = (Cache.stats (Server.cache srv)).Cache.c_misses in
+  let hits0 = counter "response_cache.hit" in
+  let pipeline_misses0 = counter "cache.misses" in
   (* Pass 2 (timed): the same requests re-sent as [Ref] digests — the
      resolved binary, and therefore the memo key, is identical, so every
      replay answers from the memo: no pipeline, no re-upload. *)
   let t0 = Unix.gettimeofday () in
   let pass2 = List.map (raw_call (fun _ d -> Protocol.Ref d)) items in
   let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-  let hits =
-    Option.value ~default:0
-      (M.find_counter (Server.snapshot srv) "response_cache.hit")
-    - hits0
-  in
-  let pipeline_misses =
-    (Cache.stats (Server.cache srv)).Cache.c_misses - pipeline_misses0
-  in
+  let hits = counter "response_cache.hit" - hits0 in
+  let pipeline_misses = counter "cache.misses" - pipeline_misses0 in
   let mismatches =
     List.fold_left2
       (fun acc a b -> if String.equal a b then acc else acc + 1)
@@ -918,7 +907,6 @@ let run_serve_check args =
        N]\n";
     exit 2);
   let module Sweep = Icfg_service.Sweep in
-  let module Cache = Icfg_core.Cache in
   Printf.printf
     "serve-check: daemon vs in-process sweep (seed %d, %d binaries, %d \
      clients)\n%!"
@@ -929,7 +917,7 @@ let run_serve_check args =
     "daemon: %d requests, %d overloaded, %d errors, %.1f req/s, cache %d \
      hits / %d misses (%.1f%%)\n%!"
     r.Sweep.sw_requests r.Sweep.sw_overloaded r.Sweep.sw_errors r.Sweep.sw_rps
-    r.Sweep.sw_cache.Cache.c_hits r.Sweep.sw_cache.Cache.c_misses
+    r.Sweep.sw_hits r.Sweep.sw_misses
     (100. *. r.Sweep.sw_hit_rate);
   if not ok then (
     Printf.eprintf "serve-check: daemon and in-process sweeps disagree\n";

@@ -99,31 +99,6 @@ let trace_t =
            write it to $(docv) as JSON (schema icfg-trace/1)."
         ~docv:"FILE")
 
-let cache_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache" ]
-        ~doc:
-          "Reuse per-function rewrite artifacts from the content-addressed \
-           cache rooted at $(docv) (created if missing). Warm re-rewrites \
-           skip analysis, relocation, planning and chunk encoding for \
-           unchanged functions; output bytes are identical with or without \
-           the cache, and corrupt or stale entries silently degrade to \
-           misses."
-        ~docv:"DIR")
-
-let cache_of dir = Option.map (fun d -> Icfg_core.Cache.create ~dir:d ()) dir
-
-let pp_cache_line = function
-  | None -> ()
-  | Some c ->
-      let s = Icfg_core.Cache.stats c in
-      Format.printf
-        "cache: %d hits, %d misses, %d bytes reused, %d corrupt evictions@."
-        s.Icfg_core.Cache.c_hits s.Icfg_core.Cache.c_misses
-        s.Icfg_core.Cache.c_bytes_reused s.Icfg_core.Cache.c_evict_corrupt
-
 (* Run [f] under an ambient trace when [--trace FILE] was given, then write
    the JSON report — also when [f] raises or exits, so a failed pipeline
    still leaves its trace behind for diagnosis. Tracing is
@@ -159,17 +134,15 @@ let analyze workload arch pie =
         (if fa.Parse.fa_instrumentable then "" else "  [UNINSTRUMENTABLE]"))
     p.Parse.funcs
 
-let rewrite_cmd workload arch pie mode output trace cache_dir =
+let rewrite_cmd workload arch pie mode output trace =
   let bin, _ = load_workload workload arch pie in
-  let cache = cache_of cache_dir in
   let rw =
     with_trace trace @@ fun () ->
     Icfg_harness.Runner.rewrite
       ~options:{ Rewriter.default_options with Rewriter.mode }
-      ?cache bin
+      bin
   in
   Format.printf "%a@." Rewriter.pp_stats rw.Rewriter.rw_stats;
-  pp_cache_line cache;
   Format.printf "%a" Binary.pp rw.Rewriter.rw_binary;
   match output with
   | Some path ->
@@ -194,9 +167,8 @@ let verify_cmd workload arch pie mode trace =
   | None -> ());
   if not report.Icfg_core.Verify.ok then exit 1
 
-let run_cmd workload arch pie mode trace cache_dir =
+let run_cmd workload arch pie mode trace =
   let bin, _ = load_workload workload arch pie in
-  let cache = cache_of cache_dir in
   let show label (r : Vm.result) =
     Format.printf "%-10s %-8s cycles %10d, steps %9d, traps %5d, output [%s]@."
       label
@@ -215,7 +187,7 @@ let run_cmd workload arch pie mode trace cache_dir =
     let rw =
       Icfg_harness.Runner.rewrite
         ~options:{ Rewriter.default_options with Rewriter.mode }
-        ?cache bin
+        bin
     in
     let counters = Hashtbl.create 16 in
     let cfg = Rewriter.vm_config_for rw cfg in
@@ -229,23 +201,19 @@ let run_cmd workload arch pie mode trace cache_dir =
   in
   show "original" orig;
   show (Mode.name mode) r;
-  pp_cache_line cache;
   if r.Vm.outcome = Vm.Halted && r.Vm.output = orig.Vm.output then
     Format.printf "outputs match; overhead %+.2f%%@."
       (100. *. float_of_int (r.Vm.cycles - orig.Vm.cycles)
       /. float_of_int (max 1 orig.Vm.cycles))
 
-let report_cmd workload arch pie mode json trace cache_dir =
+let report_cmd workload arch pie mode json trace =
   let module A = Icfg_core.Attribution in
   let bin, _ = load_workload workload arch pie in
-  let cache = cache_of cache_dir in
   with_trace trace @@ fun () ->
-  (* Both rewrites (the mode and its Dir baseline) share the cache: parse
-     artifacts hit across modes, mode-dependent stages key apart. *)
   let rewrite mode =
     Icfg_harness.Runner.rewrite
       ~options:{ Rewriter.default_options with Rewriter.mode }
-      ?cache bin
+      bin
   in
   let rw = rewrite mode in
   let attr = rw.Rewriter.rw_attribution in
@@ -255,7 +223,6 @@ let report_cmd workload arch pie mode json trace cache_dir =
     else Some (rewrite Mode.Dir).Rewriter.rw_attribution
   in
   Format.printf "%a@." Rewriter.pp_stats rw.Rewriter.rw_stats;
-  pp_cache_line cache;
   Format.printf "%a" A.pp attr;
   (match dir with
   | Some d ->
@@ -358,20 +325,24 @@ let bench_cmd names =
    dropped connection), never a dead daemon. The [exit 1]s above all live
    in one-shot workload loading, which only the other subcommands call. *)
 let serve_stats_line tag srv =
-  let st = Icfg_service.Server.stats srv in
-  let cs = Icfg_core.Cache.stats (Icfg_service.Server.cache srv) in
+  let module M = Icfg_core.Metrics in
+  let snap = Icfg_service.Server.snapshot srv in
+  let counter n = Option.value ~default:0 (M.find_counter snap n) in
+  let gauge n = Option.value ~default:0 (M.find_gauge snap n) in
+  let hits = counter "cache.hits" and misses = counter "cache.misses" in
   Format.printf
     "icfg serve: %s %d requests (%d overloaded, %d errors; %d queued, %d in \
      flight); cross-request cache: %d hits, %d misses (%.1f%% hit rate)@."
-    tag st.Icfg_service.Server.requests st.Icfg_service.Server.overloaded
-    st.Icfg_service.Server.errors st.Icfg_service.Server.pending
-    st.Icfg_service.Server.in_flight cs.Icfg_core.Cache.c_hits
-    cs.Icfg_core.Cache.c_misses
-    (100. *. Icfg_core.Cache.hit_rate cs)
+    tag (counter "serve.requests")
+    (counter "serve.overloaded")
+    (counter "serve.errors")
+    (gauge "sched.queue_depth")
+    (gauge "sched.in_flight")
+    hits misses
+    (100. *. Icfg_harness.Matrix.hit_rate ~hits ~misses)
 
-let serve_cmd socket bound workers cache_dir stats_interval =
-  let cache = cache_of cache_dir in
-  let srv = Icfg_service.Server.start ~path:socket ~bound ~workers ?cache () in
+let serve_cmd socket bound workers stats_interval =
+  let srv = Icfg_service.Server.start ~path:socket ~bound ~workers () in
   Format.printf
     "icfg serve: listening on %s (queue bound %d, %d executor domains)@."
     socket bound workers;
@@ -647,8 +618,7 @@ let top_cmd socket interval iterations =
     let hits = get "cache.hits" snap and misses = get "cache.misses" snap in
     Format.printf "cache    %d hits / %d misses (%.1f%% hit rate)@." hits
       misses
-      (if hits + misses = 0 then 0.
-       else 100. *. float_of_int hits /. float_of_int (hits + misses));
+      (100. *. Icfg_harness.Matrix.hit_rate ~hits ~misses);
     let latencies =
       List.filter
         (fun (k, _) -> String.length k >= 8 && String.sub k 0 8 = "request.")
@@ -694,7 +664,7 @@ let cmd_rewrite =
   Cmd.v (Cmd.info "rewrite" ~doc:"Rewrite a workload and print the statistics.")
     Term.(
       const rewrite_cmd $ workload_t $ arch_t $ pie_t $ mode_t $ output_t
-      $ trace_t $ cache_t)
+      $ trace_t)
 
 let cmd_verify =
   Cmd.v
@@ -709,8 +679,7 @@ let cmd_run =
     (Cmd.info "run"
        ~doc:"Run a workload before and after rewriting and compare.")
     Term.(
-      const run_cmd $ workload_t $ arch_t $ pie_t $ mode_t $ trace_t
-      $ cache_t)
+      const run_cmd $ workload_t $ arch_t $ pie_t $ mode_t $ trace_t)
 
 let report_json_t =
   Arg.(
@@ -731,7 +700,7 @@ let cmd_report =
           mode's incremental delta vs the dir baseline.")
     Term.(
       const report_cmd $ workload_t $ arch_t $ pie_t $ mode_t $ report_json_t
-      $ trace_t $ cache_t)
+      $ trace_t)
 
 let func_opt_t =
   Arg.(value & opt (some string) None & info [ "f"; "function" ] ~doc:"Function name.")
@@ -790,7 +759,6 @@ let cmd_serve =
                 "Executor domains (each request body runs on its own domain: \
                  per-request trace isolation)."
               ~docv:"N")
-      $ cache_t
       $ Arg.(
           value
           & opt (some float) None

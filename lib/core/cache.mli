@@ -6,23 +6,17 @@
     chunk encoding — is a deterministic function of plain data. A cache
     entry is keyed by a digest of {e everything} that function reads
     (function bytes, whole-binary context, failure model, rewrite options,
-    stage tag, {!schema_version}), so a stale entry can never match: any
-    input change changes the key and the entry is simply never found again.
-    There is no mutation-based invalidation to get wrong.
+    stage tag), so a stale entry can never match: any input change
+    changes the key and the entry is simply never found again. There is
+    no mutation-based invalidation to get wrong.
 
-    Two tiers share one {!t}:
-
-    - an in-memory tier, one {!Lru.t} bounded by [create ~max_bytes]
-      (default 1 GiB) and shared safely across the daemon's executor
-      domains: past the bound, least-recently-used entries are evicted
-      (counted in [c_evict_lru] / the daemon's [cache.evict_lru]), so a
-      long-lived daemon's cache stays inside its memory bound, and
-    - an opt-in on-disk mirror ([create ~dir]) with a versioned,
-      self-validating entry format. It is unbounded: an entry evicted
-      from memory comes back from disk as a hit. Corrupt, truncated or
-      version-skewed entries degrade to a miss — never an error, never
-      wrong bytes — and are evicted (counted in [c_evict_corrupt] / the
-      [cache.evict_corrupt] trace counter).
+    The store is one {!Lru.t} bounded by [create ~max_bytes] (default
+    1 GiB) and shared safely across the daemon's executor domains: past
+    the bound, least-recently-used entries are evicted (counted in
+    [c_evict_lru] / the daemon's [cache.evict_lru]), so a long-lived
+    daemon's cache stays inside its memory bound. The cache keeps no
+    hit/miss counters of its own: {!memo_map} counts on the ambient
+    {!Trace}.
 
     Observation safety: {!memo_map} computes keys, performs lookups and
     stores results in input order, so hit/miss counts are a function of
@@ -30,45 +24,30 @@
     freshly per lookup, so mutable structures inside cached values (CFG
     succ/pred tables, liveness tables) are never aliased between runs. *)
 
-val schema_version : int
-(** Bumped whenever the marshalled shape of any cached value changes;
-    part of every key, so old stores degrade to universal misses. *)
-
 type t
 
-val create : ?dir:string -> ?max_bytes:int -> unit -> t
-(** Cache whose memory tier holds at most [max_bytes] payload bytes
-    (default 1 GiB); with [dir], also mirrored to an on-disk store
-    rooted there (created, including parents, if missing). *)
+val create : ?max_bytes:int -> unit -> t
+(** Cache holding at most [max_bytes] (default 1 GiB), counted as
+    {!Lru.cost}: payload, key and per-entry overhead. *)
 
 val clone : t -> t
 (** Snapshot: a new cache sharing nothing with [t] but pre-populated with
-    its current in-memory entries (same bound, same access order), with
-    zeroed statistics and {e no} on-disk tier. Lets benchmarks replay a
-    warm cache without re-warming. *)
+    its current entries (same bound, same access order). Lets benchmarks
+    replay a warm cache without re-warming. *)
 
 type stats = {
-  c_hits : int;
-  c_misses : int;
-  c_stores : int;
-  c_bytes_reused : int;  (** marshalled payload bytes served from cache *)
-  c_evict_corrupt : int;  (** on-disk entries dropped as corrupt/stale *)
-  c_evict_lru : int;  (** memory-tier entries dropped by the size bound *)
-  c_bytes : int;  (** memory-tier footprint: payload bytes, slots included *)
-  c_entries : int;  (** memory-tier entries, slots included *)
+  c_evict_lru : int;  (** entries dropped by the size bound *)
+  c_bytes : int;  (** footprint ({!Lru.cost} summed), slots included *)
+  c_entries : int;  (** entries, slots included *)
 }
 
 val stats : t -> stats
 
-val hit_rate : stats -> float
-(** [c_hits / (c_hits + c_misses)] in [0, 1]; [0.] when no lookups have
-    happened. Deterministic, like the underlying counters. *)
-
 (** {1 Key construction}
 
     Stages build raw keys from these and pass them to {!memo_map}, which
-    digests [kjoin [magic; schema_version; stage; raw_key]] into the final
-    key — so equal raw keys in different stages never collide. *)
+    digests [kjoin [magic; stage; raw_key]] into the final key — so equal
+    raw keys in different stages never collide. *)
 
 val dval : 'a -> string
 (** Canonical bytes of a structural value ([Marshal] with [No_sharing],
@@ -94,25 +73,17 @@ val memo_map :
     must be a pure function of what [key] digests, and ['b] must be
     marshal-safe plain data. Counters ([cache.hit],
     [cache.hit:<stage>], [cache.miss], [cache.miss:<stage>],
-    [cache.bytes_reused], [cache.evict_corrupt]) are recorded on the
-    ambient {!Trace} when one is installed. *)
-
-val entry_files : t -> string list
-(** Absolute paths of the on-disk entries currently present (sorted);
-    [[]] without a disk tier. Slot files (see {!find_slot}) are not
-    included. For fault-injection tests. *)
+    [cache.bytes_reused]) are recorded on the ambient {!Trace} when one
+    is installed; they are the only hit/miss count there is. *)
 
 (** {1 Slots}
 
     A slot is a small side value addressed by what it is {e for} rather
     than by its contents — e.g. "the previous layout of this binary
     under these options" — so a warm run can load last run's result and
-    overwrite it with this run's. Slots live in the shared memory tier
-    (so {!clone} carries them into warm replays, and the bound may evict
-    them) and in [.slot] files next to the entry tier; they do not
-    participate in hit/miss statistics or {!entry_files}. A slot that
-    fails to unmarshal (foreign writer, cross-version store) reads as
-    absent and is evicted, counted in [c_evict_corrupt]. *)
+    overwrite it with this run's. Slots live in the same store (so
+    {!clone} carries them into warm replays, and the bound may evict
+    them); they do not count as hits or misses. *)
 
 val find_slot : t -> string -> 'a option
 (** [find_slot c raw] is the value last stored under [raw], if any.

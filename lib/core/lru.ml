@@ -1,5 +1,5 @@
-(* The one byte-bounded LRU map: the pipeline cache's memory tier, the
-   daemon's binary store and its whole-response memo are all instances.
+(* The one byte-bounded LRU map: the pipeline cache, the daemon's binary
+   store and its whole-response memo are all instances.
 
    Every access stamps the entry with a fresh tick from a per-map
    counter, so ticks are unique and the victim — the entry with the
@@ -9,11 +9,22 @@
    map on every access costs several times the table lookup itself, so
    entries are re-filed lazily, when eviction reaches them.
 
-   A value larger than the whole map is refused ([add] returns [false])
+   An entry costs its key and value bytes plus [entry_overhead], so
+   [max_bytes] bounds the heap the map holds, not only its payloads. An
+   entry larger than the whole map is refused ([add] returns [false])
    rather than evicting everything for nothing. All operations are
    mutex-protected; instances are shared across threads and domains. *)
 
 module Ticks = Map.Make (Int)
+
+(* The heap an entry holds beyond its key and value bytes, in words: the
+   table bucket (header, key, data, next: 4), the entry record (header,
+   value, used, filed: 4), the tick-map node (header, l, v, d, r, h: 6),
+   the header and end padding of the key and of the value strings (2
+   each: 4) and the entry's share of the bucket array (1). *)
+let entry_overhead = 19 * (Sys.word_size / 8)
+
+let cost ~key value = String.length key + String.length value + entry_overhead
 
 type stats = {
   st_hits : int;
@@ -81,7 +92,7 @@ let unlink t key =
   | Some e ->
       Hashtbl.remove t.tbl key;
       t.order <- Ticks.remove e.filed t.order;
-      t.total <- t.total - String.length e.value
+      t.total <- t.total - cost ~key e.value
   | None -> ()
 
 (* Every entry's last use is at or after its filed tick, so the lowest
@@ -106,7 +117,7 @@ let rec evict_until_fits t need =
 
 let add t ~key value =
   Mutex.protect t.lock @@ fun () ->
-  let n = String.length value in
+  let n = cost ~key value in
   if n > t.max_bytes then begin
     t.rejected <- t.rejected + 1;
     false

@@ -35,9 +35,13 @@ type t = {
   m_seed : int;
   m_count : int;
   m_rows : row list;  (** one per roster entry, in roster order *)
-  m_cache : Icfg_core.Cache.stats;  (** shared-cache stats for the sweep *)
-  m_hit_rate : float;  (** corpus-wide {!Icfg_core.Cache.hit_rate} *)
+  m_hits : int;  (** shared-cache hits over the sweep ([cache.hit]) *)
+  m_misses : int;  (** shared-cache misses over the sweep ([cache.miss]) *)
+  m_hit_rate : float;  (** corpus-wide {!hit_rate} *)
 }
+
+val hit_rate : hits:int -> misses:int -> float
+(** [hits / (hits + misses)] in [0, 1]; [0.] when no lookups happened. *)
 
 val pass_rate_pct : row -> float
 (** [100 * verified / cells]; [0.] on an empty row. Deterministic — this

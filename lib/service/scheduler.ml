@@ -154,8 +154,6 @@ let pending t =
   Mutex.unlock t.m;
   n
 
-let in_flight t = Atomic.get t.in_flight
-
 let pause t =
   Mutex.lock t.m;
   t.paused <- true;

@@ -36,12 +36,6 @@ val await : 'a ticket -> 'a
 val pending : t -> int
 (** Jobs currently queued (excludes running). *)
 
-val in_flight : t -> int
-(** Jobs dequeued by an executor and still running. [pending] alone
-    understates saturation — a full complement of executors with an
-    empty queue is one submit away from refusing — so the server's
-    stats report both. *)
-
 val pause : t -> unit
 (** Stop dequeueing; submissions still accepted up to the bound. With the
     executors parked, a test can fill the queue deterministically and pin

@@ -16,9 +16,9 @@ module Matrix = Icfg_harness.Matrix
    [Trace.with_current] — per-domain ambient traces are what keeps two
    concurrent requests' counters from bleeding into each other. One
    [Cache.t] is shared across every request for the life of the daemon:
-   cross-request reuse is the point of serving. Its memory tier, the
-   binary store and the response memo are all bounded [Lru.t]s, so the
-   daemon's caches stay within their bounds on any request stream.
+   cross-request reuse is the point of serving. That cache, the binary
+   store and the response memo are all bounded [Lru.t]s, so the daemon's
+   caches stay within their bounds on any request stream.
 
    Crash containment: the request body catches everything and returns a
    typed [Error] response; the accept loop and connection loops never
@@ -65,37 +65,23 @@ type t = {
   mutable conn_threads : Thread.t list;
   mutable accept_thread : Thread.t option;
   mutable stopping : bool;
-  n_requests : int Atomic.t;
-  n_overloaded : int Atomic.t;
-  n_errors : int Atomic.t;
 }
 
-type stats = {
-  requests : int;
-  overloaded : int;
-  errors : int;
-  pending : int;
-  in_flight : int;
-}
-
-let stats t =
-  {
-    requests = Atomic.get t.n_requests;
-    overloaded = Atomic.get t.n_overloaded;
-    errors = Atomic.get t.n_errors;
-    pending = Scheduler.pending t.sched;
-    in_flight = Scheduler.in_flight t.sched;
-  }
-
-let cache t = t.srv_cache
 let scheduler t = t.sched
 let sock_path t = t.sock_path
 let metrics t = t.registry
 let flight t = t.fl
 
-(* Registry snapshot + the shared cache's/stores' lifetime counters (each
-   keeps its own stats; mirroring them per-lookup would double-count). *)
+(* Registry snapshot + the cache tier's and the stores' state. The
+   pipeline cache's hits and misses are the folded request traces'
+   [trace.cache.*] counters, re-exported under their scrape names (always
+   present, 0 before the first lookup); the stores' counters live in
+   their [Lru]s. *)
 let snapshot t =
+  let reg = Metrics.snapshot t.registry in
+  let traced k =
+    Option.value ~default:0 (Metrics.find_counter reg ("trace.cache." ^ k))
+  in
   let cs = Cache.stats t.srv_cache in
   let ss = Store.stats t.store in
   let ms = Store.stats t.memo in
@@ -104,12 +90,10 @@ let snapshot t =
       Metrics.empty with
       Metrics.s_counters =
         [
-          ("cache.bytes_reused", cs.Cache.c_bytes_reused);
-          ("cache.evict_corrupt", cs.Cache.c_evict_corrupt);
+          ("cache.bytes_reused", traced "bytes_reused");
           ("cache.evict_lru", cs.Cache.c_evict_lru);
-          ("cache.hits", cs.Cache.c_hits);
-          ("cache.misses", cs.Cache.c_misses);
-          ("cache.stores", cs.Cache.c_stores);
+          ("cache.hits", traced "hit");
+          ("cache.misses", traced "miss");
           ("response_cache.evict_lru", ms.Store.st_evictions);
           ("response_cache.hit", ms.Store.st_hits);
           ("response_cache.miss", ms.Store.st_misses);
@@ -131,7 +115,7 @@ let snapshot t =
         ];
     }
   in
-  Metrics.merge (Metrics.snapshot t.registry) cache_snap
+  Metrics.merge reg cache_snap
 
 (* Histogram names must be deterministic across runs: keep the approach
    and the outcome *kind*, drop refusal keys / crash messages (those
@@ -303,7 +287,6 @@ let conn_loop t fd =
   Fun.protect ~finally @@ fun () ->
   let write_resp resp = Protocol.write_response fd resp in
   let error_resp m =
-    Atomic.incr t.n_errors;
     Metrics.incr t.registry "serve.errors";
     write_resp (Protocol.Error { message = m; counters = [] })
   in
@@ -318,11 +301,7 @@ let conn_loop t fd =
         let t0 = Metrics.now_ns () in
         let outcome, payload = memo_unpack entry in
         let errored = String.equal outcome "error" in
-        if errored then begin
-          Atomic.incr t.n_errors;
-          Metrics.incr t.registry "serve.errors"
-        end;
-        Atomic.incr t.n_requests;
+        if errored then Metrics.incr t.registry "serve.errors";
         Metrics.incr t.registry "serve.requests";
         Metrics.incr t.registry ("serve.responses:" ^ outcome);
         let ns = Int64.to_int (Int64.sub (Metrics.now_ns ()) t0) in
@@ -336,17 +315,13 @@ let conn_loop t fd =
         let resp =
           match Scheduler.submit t.sched (fun () -> run_request t w) with
           | None ->
-              Atomic.incr t.n_overloaded;
               Metrics.incr t.registry "serve.overloaded";
               Protocol.Overloaded
           | Some tk ->
               let r = Scheduler.await tk in
               (match r with
-              | Protocol.Error _ ->
-                  Atomic.incr t.n_errors;
-                  Metrics.incr t.registry "serve.errors"
+              | Protocol.Error _ -> Metrics.incr t.registry "serve.errors"
               | _ -> ());
-              Atomic.incr t.n_requests;
               Metrics.incr t.registry "serve.requests";
               Metrics.incr t.registry ("serve.responses:" ^ outcome_label r);
               (match r with
@@ -402,7 +377,6 @@ let conn_loop t fd =
       | `Frame (Some p) ->
           (match Protocol.request_of_payload p with
           | Error m ->
-              Atomic.incr t.n_errors;
               Metrics.incr t.registry "serve.errors";
               write_resp
                 (Protocol.Error
@@ -420,8 +394,9 @@ let conn_loop t fd =
                 (Protocol.StatsSnapshot { snap = snapshot t; flight = fl })
           | Ok (Protocol.Register { bin }) ->
               (* Inline: pure store work, no pipeline state. A binary
-                 larger than the whole store gets a typed refusal — the
-                 connection (and daemon) keep going. *)
+                 whose entry cost (bytes, digest key and per-entry
+                 overhead) is over the whole store gets a typed refusal —
+                 the connection (and daemon) keep going. *)
               let digest = Store.digest bin in
               if Store.add t.store ~key:digest bin then begin
                 Metrics.incr t.registry "serve.registered";
@@ -436,8 +411,10 @@ let conn_loop t fd =
                      {
                        reason =
                          Printf.sprintf
-                           "binary of %d bytes exceeds store capacity %d"
+                           "binary of %d bytes (entry cost %d) exceeds \
+                            store capacity %d"
                            (String.length bin)
+                           (Store.cost ~key:digest bin)
                            (Store.max_bytes t.store);
                      })
               end
@@ -507,9 +484,6 @@ let start ~path ?(bound = 64) ?(workers = 2) ?cache ?flight
       conn_threads = [];
       accept_thread = None;
       stopping = false;
-      n_requests = Atomic.make 0;
-      n_overloaded = Atomic.make 0;
-      n_errors = Atomic.make 0;
     }
   in
   t.accept_thread <- Some (Thread.create accept_loop t);

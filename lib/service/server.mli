@@ -41,9 +41,9 @@ val start :
 (** Bind a Unix socket at [path] (an existing file is replaced), spawn
     the accept thread and [workers] executor domains (default 2).
     [bound] (default 64) is the request-queue bound. [cache] (default:
-    fresh, so its memory tier is bounded at 1 GiB) is the shared
-    cross-request cache. [flight] (default: fresh with default bounds)
-    is the flight recorder — injectable so tests can shrink the bounds.
+    fresh, bounded at 1 GiB) is the shared cross-request cache.
+    [flight] (default: fresh with default bounds) is the flight recorder
+    — injectable so tests can shrink the bounds.
 
     Incremental-protocol knobs: [max_frame] (default
     {!Protocol.max_frame}, clamped to it) bounds accepted request
@@ -58,19 +58,6 @@ val stop : t -> unit
     (their connections get answers), join executor domains and
     connection threads, remove the socket file. *)
 
-type stats = {
-  requests : int;  (** work requests answered (rewritten/refused/classified/error) *)
-  overloaded : int;  (** typed backpressure refusals *)
-  errors : int;  (** [Error] responses (crashed drivers, malformed frames) *)
-  pending : int;  (** scheduler jobs queued, not yet picked up *)
-  in_flight : int;
-      (** scheduler jobs running on executors right now. [pending] alone
-          understates saturation — a full executor complement with an
-          empty queue is one submit away from [Overloaded]. *)
-}
-
-val stats : t -> stats
-val cache : t -> Icfg_core.Cache.t
 val scheduler : t -> Scheduler.t
 (** Exposed for the test battery ([pause]/[resume] make the
     exact-[M]-refusals backpressure test deterministic). *)
@@ -84,11 +71,15 @@ val metrics : t -> Icfg_core.Metrics.t
 val flight : t -> Flight.t
 
 val snapshot : t -> Icfg_core.Metrics.snapshot
-(** What a [Stats] frame answers: the registry snapshot merged with the
-    shared cache's lifetime counters ([cache.hits], [cache.misses],
-    [cache.stores], [cache.bytes_reused], [cache.evict_corrupt],
-    [cache.evict_lru] + the memory tier's [cache.bytes] /
-    [cache.entries] gauges), the binary store's ([store.hits],
+(** What a [Stats] frame answers, and the one place the daemon's
+    request and cache totals are read from: the registry snapshot
+    ([serve.requests], [serve.overloaded], [serve.errors], the
+    [sched.queue_depth] / [sched.in_flight] gauges, [trace.*] folds, …)
+    merged with [cache.hits], [cache.misses] and [cache.bytes_reused] —
+    always-present aliases of [trace.cache.hit], [trace.cache.miss] and
+    [trace.cache.bytes_reused], 0 before the first lookup — the cache
+    tier's [cache.evict_lru] counter and [cache.bytes] / [cache.entries]
+    gauges, the binary store's ([store.hits],
     [store.misses], [store.stores], [store.evict_lru], [store.rejected]
     + [store.bytes] / [store.entries] gauges) and the response memo's,
     mirrored as [response_cache.hit], [response_cache.miss],

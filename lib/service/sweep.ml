@@ -1,4 +1,3 @@
-module Cache = Icfg_core.Cache
 module Baseline = Icfg_baselines.Baseline
 module Corpus = Icfg_workloads.Corpus
 module Matrix = Icfg_harness.Matrix
@@ -26,7 +25,8 @@ type result = {
   sw_requests : int;
   sw_overloaded : int;
   sw_errors : int;
-  sw_cache : Cache.stats;
+  sw_hits : int;
+  sw_misses : int;
   sw_hit_rate : float;
   sw_wall_ns : float;
   sw_rps : float;
@@ -154,11 +154,13 @@ let run ?(seed = 7) ?(count = 48) ?(clients = 4) ?workers ?bound
   in
   List.iter Thread.join threads;
   let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-  let st = Server.stats srv in
-  let cstats = Cache.stats (Server.cache srv) in
   (* Snapshot before stop: same merged view a live [Stats] frame gets. *)
   let msnap = Server.snapshot srv in
   Server.stop srv;
+  let counter k =
+    Option.value ~default:0 (Icfg_core.Metrics.find_counter msnap k)
+  in
+  let hits = counter "cache.hits" and misses = counter "cache.misses" in
   let rows =
     List.mapi
       (fun ai approach ->
@@ -195,11 +197,12 @@ let run ?(seed = 7) ?(count = 48) ?(clients = 4) ?workers ?bound
     sw_count = count;
     sw_clients = clients;
     sw_rows = rows;
-    sw_requests = st.Server.requests;
-    sw_overloaded = st.Server.overloaded;
+    sw_requests = counter "serve.requests";
+    sw_overloaded = counter "serve.overloaded";
     sw_errors = Atomic.get errors;
-    sw_cache = cstats;
-    sw_hit_rate = Cache.hit_rate cstats;
+    sw_hits = hits;
+    sw_misses = misses;
+    sw_hit_rate = Matrix.hit_rate ~hits ~misses;
     sw_wall_ns = wall_ns;
     sw_rps =
       (if wall_ns > 0. then float_of_int n_items /. (wall_ns /. 1e9) else 0.);

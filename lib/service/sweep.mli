@@ -18,10 +18,13 @@ type result = {
   sw_clients : int;
   sw_rows : Icfg_harness.Matrix.row list;
       (** roster order; cells aggregated in corpus order *)
-  sw_requests : int;  (** daemon-side answered work requests *)
-  sw_overloaded : int;  (** should be 0: the sweep bounds in-flight by clients *)
+  sw_requests : int;  (** daemon-side answered work requests ([serve.requests]) *)
+  sw_overloaded : int;
+      (** [serve.overloaded]; should be 0: the sweep bounds in-flight by
+          clients *)
   sw_errors : int;  (** client-observed transport/Error responses *)
-  sw_cache : Icfg_core.Cache.stats;  (** the daemon's cross-request cache *)
+  sw_hits : int;  (** the daemon's cross-request cache: [cache.hits] *)
+  sw_misses : int;  (** [cache.misses] *)
   sw_hit_rate : float;
   sw_wall_ns : float;
   sw_rps : float;  (** cells per second through the daemon *)

@@ -20,7 +20,6 @@
 
 module Corpus = Icfg_workloads.Corpus
 module Matrix = Icfg_harness.Matrix
-module Cache = Icfg_core.Cache
 
 (* ------------------------------------------------------------------ *)
 (* 1. Corpus generation determinism                                    *)
@@ -96,7 +95,8 @@ let test_twins_build_identical () =
 let strip (m : Matrix.t) =
   ( m.Matrix.m_seed,
     m.Matrix.m_count,
-    m.Matrix.m_cache,
+    m.Matrix.m_hits,
+    m.Matrix.m_misses,
     List.map
       (fun (r : Matrix.row) ->
         { r with Matrix.row_p50_ns = 0.; row_p95_ns = 0. })
@@ -123,14 +123,13 @@ let test_matrix_smoke_and_determinism () =
         true
         (Matrix.pass_rate_pct r >= 0. && Matrix.pass_rate_pct r <= 100.))
     m1.Matrix.m_rows;
-  let s = m1.Matrix.m_cache in
+  let hits = m1.Matrix.m_hits and misses = m1.Matrix.m_misses in
   Alcotest.(check bool) "the shared cache was exercised" true
-    (s.Cache.c_hits + s.Cache.c_misses > 0);
+    (hits + misses > 0);
   Alcotest.(check bool) "hit rate agrees with the counters" true
     (Float.abs
        (m1.Matrix.m_hit_rate
-       -. float_of_int s.Cache.c_hits
-          /. float_of_int (s.Cache.c_hits + s.Cache.c_misses))
+       -. (float_of_int hits /. float_of_int (hits + misses)))
     < 1e-9);
   let m2 = Matrix.run ~seed:11 ~count:8 () in
   Alcotest.(check bool)
@@ -138,22 +137,9 @@ let test_matrix_smoke_and_determinism () =
     (strip m1 = strip m2)
 
 let test_hit_rate () =
-  let stats ~hits ~misses =
-    {
-      Cache.c_hits = hits;
-      c_misses = misses;
-      c_stores = 0;
-      c_bytes_reused = 0;
-      c_evict_corrupt = 0;
-      c_evict_lru = 0;
-      c_bytes = 0;
-      c_entries = 0;
-    }
-  in
   Alcotest.(check (float 1e-9)) "no lookups" 0.
-    (Cache.hit_rate (stats ~hits:0 ~misses:0));
-  Alcotest.(check (float 1e-9)) "3/4" 0.75
-    (Cache.hit_rate (stats ~hits:3 ~misses:1))
+    (Matrix.hit_rate ~hits:0 ~misses:0);
+  Alcotest.(check (float 1e-9)) "3/4" 0.75 (Matrix.hit_rate ~hits:3 ~misses:1)
 
 (* [Matrix.percentile]: nearest-rank on the finite values only. NaN and
    infinities must be dropped, not allowed to poison the sort order, and

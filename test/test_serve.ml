@@ -68,6 +68,12 @@ let response_label = function
   | Protocol.NeedFull _ -> "need-full"
   | Protocol.Rejected { reason } -> "rejected: " ^ reason
 
+let counter snap name =
+  Option.value ~default:0 (Metrics.find_counter snap name)
+
+(* A daemon's lifetime total, read where every consumer reads it. *)
+let served srv name = counter (Server.snapshot srv) name
+
 (* ------------------------------------------------------------------ *)
 (* Protocol codec round-trips                                          *)
 (* ------------------------------------------------------------------ *)
@@ -355,16 +361,15 @@ let backpressure () =
   (* Wait until all K+M requests have reached the daemon: K parked in
      the queue, M already refused. *)
   let deadline = Unix.gettimeofday () +. 30. in
+  let queued () =
+    Option.value ~default:0
+      (Metrics.find_gauge (Server.snapshot srv) "sched.queue_depth")
+  in
   let rec settle () =
-    let st = Server.stats srv in
-    if
-      Scheduler.pending (Server.scheduler srv) = k
-      && st.Server.overloaded = m
-    then ()
+    if queued () = k && served srv "serve.overloaded" = m then ()
     else if Unix.gettimeofday () > deadline then
       Alcotest.failf "queue never settled: pending=%d overloaded=%d"
-        (Scheduler.pending (Server.scheduler srv))
-        (Server.stats srv).Server.overloaded
+        (queued ()) (served srv "serve.overloaded")
     else begin
       Thread.delay 0.01;
       settle ()
@@ -378,9 +383,8 @@ let backpressure () =
     (count (function Some (Ok Protocol.Overloaded) -> true | _ -> false));
   Alcotest.(check int) "exactly K rewritten" k
     (count (function Some (Ok (Protocol.Rewritten _)) -> true | _ -> false));
-  let st = Server.stats srv in
-  Alcotest.(check int) "zero error responses" 0 st.Server.errors;
-  Alcotest.(check int) "overloaded stat" m st.Server.overloaded;
+  Alcotest.(check int) "zero error responses" 0 (served srv "serve.errors");
+  Alcotest.(check int) "overloaded stat" m (served srv "serve.overloaded");
   (* The refusals cost nothing: the daemon is still serving. *)
   Client.with_connection path @@ fun c ->
   (match Client.ping c with
@@ -506,8 +510,8 @@ let crash_containment () =
   | r ->
       Alcotest.failf "daemon not serving after crashes: %s"
         (match r with Ok x -> response_label x | Error m -> m));
-  let st = Server.stats srv in
-  Alcotest.(check bool) "errors were counted" true (st.Server.errors >= 3)
+  Alcotest.(check bool) "errors were counted" true
+    (served srv "serve.errors" >= 3)
 
 (* A garbage *frame* (valid length prefix, junk payload) or a frame of
    an older wire version gets a typed error response naming the cause,
@@ -559,9 +563,6 @@ let scrape ?(flight = false) path =
   | r ->
       Alcotest.failf "stats scrape: %s"
         (match r with Ok x -> response_label x | Error m -> m)
-
-let counter snap name =
-  Option.value ~default:0 (Metrics.find_counter snap name)
 
 (* The daemon's aggregated totals must exactly equal the served stream:
    serve.requests and the per-approach × per-outcome latency histogram
@@ -913,7 +914,8 @@ let eviction_needfull_heals () =
   let str_a = Binfile.to_string bin_a in
   let str_b = Binfile.to_string bin_b in
   let dig_a = Icfg_service.Store.digest str_a in
-  let store_bytes = max (String.length str_a) (String.length str_b) in
+  let entry s = Icfg_service.Store.(cost ~key:(digest s) s) in
+  let store_bytes = max (entry str_a) (entry str_b) in
   with_server ~workers:1 ~store_bytes () @@ fun srv path ->
   Client.with_connection path @@ fun c ->
   let registered what r =
